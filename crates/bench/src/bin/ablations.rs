@@ -1,5 +1,6 @@
-//! Accuracy-side ablation tables (the timing side lives in the criterion
-//! benches). Prints the measurements recorded in EXPERIMENTS.md:
+//! Accuracy-side ablation tables (the timing side lives in the `fig1`,
+//! `bench_suite`, `serve_bench` and `kernel_bench` bins). Prints the
+//! measurements recorded in EXPERIMENTS.md:
 //!
 //! * **V2** — the Proposition 6.1 arctangent family: exact arc values vs
 //!   AFPRAS estimates;

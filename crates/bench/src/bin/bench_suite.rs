@@ -8,8 +8,7 @@
 //! cargo run --release -p qarith-bench --bin bench_suite -- \
 //!     [--scale tiny|small|medium|paper] [--seed N] \
 //!     [--families sales,range,division] [--epsilons 0.1,0.05,0.02] \
-//!     [--threads N] [--reps N] [--serving-threads N] [--serving-passes N] \
-//!     [--out PATH] [--check-baseline] [--baseline PATH] [--tolerance F]
+//!     [--threads N] [--reps N] [--out PATH] [--check-baseline] [--baseline PATH] [--tolerance F]
 //! ```
 //!
 //! `--check-baseline` loads the baseline JSON (default:
@@ -35,8 +34,7 @@ fn usage(msg: &str) -> ExitCode {
     eprintln!(
         "usage: bench_suite [--scale tiny|small|medium|paper] [--seed N] \
          [--families LIST] [--epsilons LIST] [--threads N] [--reps N] \
-         [--serving-threads N] [--serving-passes N] [--out PATH] [--check-baseline] \
-         [--baseline PATH] [--tolerance F]"
+         [--out PATH] [--check-baseline] [--baseline PATH] [--tolerance F]"
     );
     ExitCode::from(2)
 }
@@ -92,14 +90,6 @@ fn main() -> ExitCode {
             "--reps" => match value().and_then(|v| v.parse().ok()) {
                 Some(n) if n >= 1 => config.reps = n,
                 _ => return usage("--reps expects a positive integer"),
-            },
-            "--serving-threads" => match value().and_then(|v| v.parse().ok()) {
-                Some(n) => config.serving_threads = n,
-                None => return usage("--serving-threads expects an integer (0 disables)"),
-            },
-            "--serving-passes" => match value().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => config.serving_passes = n,
-                _ => return usage("--serving-passes expects a positive integer"),
             },
             "--out" => match value() {
                 Some(p) => out_path = p,
@@ -179,7 +169,7 @@ fn main() -> ExitCode {
 }
 
 /// The human summary: per (family, query, ε) one row comparing the
-/// three pipelines, then the serving pass.
+/// three pipelines.
 fn print_summary(report: &SuiteReport) {
     for family in &report.families {
         println!("\nfamily: {}", family.family);
@@ -218,19 +208,5 @@ fn print_summary(report: &SuiteReport) {
                 );
             }
         }
-    }
-    if let Some(s) = &report.serving {
-        let hits = s.cache.iter().find(|(n, _)| n == "hits").map_or(0, |(_, v)| *v);
-        let misses = s.cache.iter().find(|(n, _)| n == "misses").map_or(0, |(_, v)| *v);
-        println!(
-            "\nwarm serving pass: {} clients × {} passes, {} queries at ε = {} \
-             in {:.4}s ({:.0} q/s; ν-cache {hits} hits / {misses} misses)",
-            s.client_threads,
-            s.passes,
-            s.queries,
-            s.epsilon,
-            s.seconds,
-            s.queries as f64 / s.seconds.max(1e-9),
-        );
     }
 }

@@ -44,11 +44,9 @@
 
 use std::process::ExitCode;
 
-use qarith_bench::mutate::run_mutate_bench;
 use qarith_bench::serve::{
-    check_serve_baseline, run_serve_bench, LoadMode, ServeBenchConfig, ServeBenchReport,
+    check_serve_baseline, run_serve_bench, LoadMode, ServeBenchConfig, ServeBenchReport, ServeKind,
 };
-use qarith_bench::wire::run_wire_bench;
 use qarith_datagen::{QueryFamily, WorkloadScale};
 
 /// Default output artifact name — the PR-5 slot of the `BENCH_*.json`
@@ -165,18 +163,19 @@ fn main() -> ExitCode {
     if config.mode == LoadMode::Open && config.rate <= 0.0 {
         return usage("--mode open requires --rate");
     }
-    if wire && mutate {
-        return usage("--wire and --mutate are mutually exclusive");
-    }
+    let kind = match (wire, mutate) {
+        (false, false) => ServeKind::Serve,
+        (true, false) => ServeKind::Wire,
+        (false, true) => ServeKind::Mutate,
+        (true, true) => return usage("--wire and --mutate are mutually exclusive"),
+    };
 
     println!(
         "qarith serve_bench — serving load ({})",
-        if wire {
-            "wire: framed protocol over loopback TCP"
-        } else if mutate {
-            "mutate: write batches interleaved with template replays"
-        } else {
-            "in-process"
+        match kind {
+            ServeKind::Serve => "in-process",
+            ServeKind::Wire => "wire: framed protocol over loopback TCP",
+            ServeKind::Mutate => "mutate: write batches interleaved with template replays",
         }
     );
     println!(
@@ -195,22 +194,14 @@ fn main() -> ExitCode {
         },
     );
 
-    let report = if wire {
-        run_wire_bench(&config)
-    } else if mutate {
-        run_mutate_bench(&config)
-    } else {
-        run_serve_bench(&config)
-    };
+    let report = run_serve_bench(&config, kind);
     print_summary(&report);
 
     let out_path = out_path.unwrap_or_else(|| {
-        if wire {
-            DEFAULT_WIRE_OUT
-        } else if mutate {
-            DEFAULT_MUTATE_OUT
-        } else {
-            DEFAULT_OUT
+        match kind {
+            ServeKind::Serve => DEFAULT_OUT,
+            ServeKind::Wire => DEFAULT_WIRE_OUT,
+            ServeKind::Mutate => DEFAULT_MUTATE_OUT,
         }
         .to_string()
     });
@@ -224,12 +215,10 @@ fn main() -> ExitCode {
         format!(
             "{}/baselines/SERVE_{}{}.json",
             env!("CARGO_MANIFEST_DIR"),
-            if wire {
-                "WIRE_"
-            } else if mutate {
-                "MUTATE_"
-            } else {
-                ""
+            match kind {
+                ServeKind::Serve => "",
+                ServeKind::Wire => "WIRE_",
+                ServeKind::Mutate => "MUTATE_",
             },
             config.scale.name()
         )

@@ -387,6 +387,95 @@ impl<'a> Parser<'a> {
     }
 }
 
+// ---------------------------------------------------------------------
+// BENCH document fields
+// ---------------------------------------------------------------------
+
+/// Parses a `BENCH_*.json` document and checks its header: the schema
+/// name, a version no newer than this binary's, and a `kind` that is
+/// one of `kinds`. Returns the document, its version, and its kind.
+pub(crate) fn parse_document(text: &str, kinds: &[&str]) -> Result<(Json, u64, String), String> {
+    use crate::suite::{SCHEMA_NAME, SCHEMA_VERSION};
+    let doc = parse(text).map_err(|e| e.to_string())?;
+    let schema = req_str(&doc, "schema")?;
+    if schema != SCHEMA_NAME {
+        return Err(format!("unknown schema `{schema}` (expected `{SCHEMA_NAME}`)"));
+    }
+    let schema_version = req_u64(&doc, "schema_version")?;
+    if schema_version > SCHEMA_VERSION {
+        return Err(format!(
+            "schema version {schema_version} is newer than this binary's {SCHEMA_VERSION}"
+        ));
+    }
+    let kind = req_str(&doc, "kind")?;
+    if !kinds.contains(&kind.as_str()) {
+        return Err(format!("document kind `{kind}` is not a {} report", kinds.join("/")));
+    }
+    Ok((doc, schema_version, kind))
+}
+
+/// The object field `key`, or an error naming it.
+pub(crate) fn req<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
+    v.get(key).ok_or_else(|| format!("missing field `{key}`"))
+}
+
+/// The string field `key`.
+pub(crate) fn req_str(v: &Json, key: &str) -> Result<String, String> {
+    v.get(key)
+        .and_then(Json::as_str)
+        .map(str::to_string)
+        .ok_or_else(|| format!("missing string field `{key}`"))
+}
+
+/// The integer field `key`.
+pub(crate) fn req_u64(v: &Json, key: &str) -> Result<u64, String> {
+    v.get(key).and_then(Json::as_u64).ok_or_else(|| format!("missing integer field `{key}`"))
+}
+
+/// The number field `key`.
+pub(crate) fn req_f64(v: &Json, key: &str) -> Result<f64, String> {
+    v.get(key).and_then(Json::as_f64).ok_or_else(|| format!("missing number field `{key}`"))
+}
+
+/// The array field `key`.
+pub(crate) fn req_arr<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
+    v.get(key).and_then(Json::as_arr).ok_or_else(|| format!("missing array field `{key}`"))
+}
+
+/// The array-of-numbers field `key`.
+pub(crate) fn req_f64_arr(v: &Json, key: &str) -> Result<Vec<f64>, String> {
+    req_arr(v, key)?
+        .iter()
+        .map(|x| x.as_f64().ok_or_else(|| format!("`{key}`: expected numbers")))
+        .collect()
+}
+
+/// A counter block (`as_pairs` names in order) as a JSON object.
+pub(crate) fn counters_to_json(pairs: &[(String, u64)]) -> Json {
+    Json::Obj(pairs.iter().map(|(k, v)| (k.clone(), Json::num_u64(*v))).collect())
+}
+
+/// Parses a counter block written by [`counters_to_json`]; `what` names
+/// the block in errors.
+pub(crate) fn counters_from_json(v: &Json, what: &str) -> Result<Vec<(String, u64)>, String> {
+    match v {
+        Json::Obj(pairs) => pairs
+            .iter()
+            .map(|(k, v)| {
+                v.as_u64()
+                    .map(|n| (k.clone(), n))
+                    .ok_or_else(|| format!("{what}.{k}: expected a counter"))
+            })
+            .collect(),
+        _ => Err(format!("{what}: expected an object")),
+    }
+}
+
+/// A static-name counter block (`as_pairs` output) with owned names.
+pub(crate) fn pairs(p: &[(&'static str, u64)]) -> Vec<(String, u64)> {
+    p.iter().map(|(k, v)| ((*k).to_string(), *v)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

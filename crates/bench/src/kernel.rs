@@ -45,7 +45,7 @@ use qarith_datagen::{QueryFamily, WorkloadScale, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::json::{parse, Json, JsonError};
+use crate::json::{parse_document, req, req_f64, req_str, req_u64, Json};
 use crate::suite::{SCHEMA_NAME, SCHEMA_VERSION};
 use crate::{CompiledFormula, Fig1Harness};
 
@@ -295,22 +295,8 @@ impl KernelReport {
     /// Parses a document produced by [`KernelReport::to_json`]. Rejects
     /// unknown schema names, future versions, and non-kernel kinds.
     pub fn from_json(text: &str) -> Result<KernelReport, String> {
-        let doc = parse(text).map_err(|e: JsonError| e.to_string())?;
-        let schema = req_str(&doc, "schema")?;
-        if schema != SCHEMA_NAME {
-            return Err(format!("unknown schema `{schema}` (expected `{SCHEMA_NAME}`)"));
-        }
-        let schema_version = req_u64(&doc, "schema_version")?;
-        if schema_version > SCHEMA_VERSION {
-            return Err(format!(
-                "schema version {schema_version} is newer than this binary's {SCHEMA_VERSION}"
-            ));
-        }
-        let kind = req_str(&doc, "kind")?;
-        if kind != "kernel" {
-            return Err(format!("document kind `{kind}` is not a kernel report"));
-        }
-        let k = doc.get("kernel").ok_or("missing field `kernel`")?;
+        let (doc, schema_version, _) = parse_document(text, &["kernel"])?;
+        let k = req(&doc, "kernel")?;
         Ok(KernelReport {
             schema_version,
             scale: req_str(&doc, "scale")?,
@@ -330,21 +316,6 @@ impl KernelReport {
             speedup: req_f64(k, "speedup")?,
         })
     }
-}
-
-fn req_str(v: &Json, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field `{key}`"))
-}
-
-fn req_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key).and_then(Json::as_u64).ok_or_else(|| format!("missing integer field `{key}`"))
-}
-
-fn req_f64(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key).and_then(Json::as_f64).ok_or_else(|| format!("missing number field `{key}`"))
 }
 
 // ---------------------------------------------------------------------

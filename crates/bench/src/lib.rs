@@ -1,7 +1,9 @@
 //! Shared harness for the paper's evaluation (§9, Figure 1), the
 //! ablation studies listed in DESIGN.md, the multi-scale workload
-//! suite ([`suite`], bin `bench_suite`), and the serving load
-//! generator ([`serve`], bin `serve_bench`).
+//! suite ([`suite`], bin `bench_suite`), the serving load generator
+//! ([`serve`], bin `serve_bench` — in process, over the wire, or under
+//! mutation), and the sampling-kernel microbench ([`kernel`], bin
+//! `kernel_bench`).
 //!
 //! Layering: the top of the workspace — above `qarith-core`,
 //! `qarith-serve`, and `qarith-datagen`; nothing depends on it. Its
@@ -30,17 +32,15 @@ use qarith_core::{
     NuCache, RewriteOptions,
 };
 use qarith_datagen::sales::SalesScale;
-use qarith_datagen::{QueryFamily, WorkloadSpec};
+use qarith_datagen::QueryFamily;
 use qarith_engine::cq::{self, CandidateAnswer};
 use qarith_types::Database;
 
 pub mod json;
 pub mod kernel;
-pub mod mutate;
 pub mod promcheck;
 pub mod serve;
 pub mod suite;
-pub mod wire;
 
 pub use qarith_constraints::asymptotic::CompiledFormula;
 
@@ -69,7 +69,7 @@ pub struct PreparedQuery {
 /// its prepared queries. [`Fig1Harness::new`] instantiates the paper's
 /// Figure 1 configuration (the `sales` family); the `bench_suite` driver
 /// instantiates one harness per [`QueryFamily`] via
-/// [`Fig1Harness::from_spec`].
+/// [`Fig1Harness::from_workload`].
 pub struct Fig1Harness {
     /// The database.
     pub db: Database,
@@ -97,12 +97,6 @@ impl Fig1Harness {
         let db = qarith_datagen::sales::sales_database(scale, seed);
         let queries = Fig1Harness::prepare(&db, &QueryFamily::Sales.queries());
         Fig1Harness { db, queries }
-    }
-
-    /// Builds the harness for an arbitrary workload spec: generate the
-    /// database, then execute and compile every query of the family.
-    pub fn from_spec(spec: &WorkloadSpec) -> Fig1Harness {
-        Fig1Harness::from_workload(spec.build())
     }
 
     /// Wraps an already-built [`qarith_datagen::Workload`] (consuming its

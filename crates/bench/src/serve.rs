@@ -1,50 +1,102 @@
-//! Load generation against the `qarith-serve` query service — the
-//! engine behind the `serve_bench` binary.
+//! Serving load against the `qarith-serve` query service — the one
+//! driver behind every `serve_bench` mode.
 //!
 //! One [`ServeBenchConfig`] names a database scale, a query-family
-//! population, an ε, and a client configuration. [`run_serve_bench`]:
+//! population, an ε, and a client configuration; a [`ServeKind`] names
+//! the path under load. [`run_serve_bench`]:
 //!
 //! 1. builds the database and a [`QueryService`] over it (forced
 //!    AFPRAS at the paper's `m = ⌈ε⁻²⌉` prescription, per-request
 //!    fan-out 1 — concurrency comes from the clients, as in a server
 //!    handling parallel sessions);
 //! 2. runs a **sequential reference pass** (one thread, each template
-//!    once) and pins every certainty bit into a digest — this also
-//!    warms the plan cache, so the timed phase measures serving, not
-//!    first-compilation;
-//! 3. replays the workload from M client threads, **closed-loop**
-//!    (each client issues its next request the moment the previous one
-//!    returns) or **open-loop** (requests fire on a fixed-rate
-//!    schedule; latency is measured from the *scheduled* arrival, so
-//!    queueing delay under overload is visible — no coordinated
-//!    omission). Every response is compared bit-for-bit against the
-//!    reference as it arrives.
+//!    once, in process) and pins every certainty bit into a digest —
+//!    this also warms the plan cache, so the timed phase measures
+//!    serving, not first-compilation. Every kind pins the same digest
+//!    at equal config;
+//! 3. replays the workload from M clients through one request loop
+//!    over a transport: in-process [`QueryService::query`] calls
+//!    (`serve`, `mutate`), or one [`NetClient`] connection per client
+//!    to a loopback [`NetServer`] speaking the `qarith-net` framed
+//!    protocol (`wire`). Clients run **closed-loop** (each issues its
+//!    next request the moment the previous one returns) or
+//!    **open-loop** (requests fire on a fixed-rate schedule; latency
+//!    is measured from the *scheduled* arrival, so queueing delay
+//!    under overload is visible — no coordinated omission). Every
+//!    reply must name the epoch and database digest the last write
+//!    acked, and every epoch-0 reply is compared bit for bit against
+//!    the reference as it arrives;
 //! 4. repeats the timed phase [`ServeBenchConfig::reps`] times and
 //!    reports the repetition with the lowest p95 (scheduler noise only
 //!    ever adds latency — the same min-of-reps estimator the workload
 //!    suite uses for wall times).
 //!
-//! The result serializes into the schema-v4 `BENCH_*.json` document
-//! kind `"serve"` ([`ServeBenchReport::to_json`]);
-//! [`check_serve_baseline`] is the CI gate — certainty drift fails
-//! hard, p95 latency may regress at most the tolerance.
+//! `mutate` adds a write stream: [`MUTATE_SHAPE`] batches from
+//! [`qarith_datagen::mutations::sales_mutations`], each timed through
+//! `QueryService::apply` (epoch build + publication + delta-aware
+//! invalidation) and followed by a timed re-query of every template —
+//! the post-write queries pay exactly the re-measurement the
+//! invalidation made necessary. The write path runs single-threaded
+//! and closed-loop (concurrency is the epoch torture test's job), so
+//! its latencies are attributable; p95 is taken over the pooled write
+//! and query latencies, and every repetition starts from a pristine
+//! service warmed by its own reference pass. The certainty digest stays
+//! pinned at epoch 0.
 //!
-//! [`crate::wire`] reuses this module's report shape for the
-//! `kind = "wire"` documents of `serve_bench --wire`, which drive the
-//! same load through real loopback sockets and the `qarith-net` framed
-//! protocol and add a `net` counter block.
+//! The result serializes into the schema-v4 `BENCH_*.json` document of
+//! kind `"serve"`, `"wire"`, or `"mutate"`
+//! ([`ServeBenchReport::to_json`]); [`check_serve_baseline`] is the CI
+//! gate — certainty drift fails hard, p95 latency may regress at most
+//! the tolerance.
 
+use std::collections::HashSet;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use qarith_core::afpras::{AfprasOptions, SampleCount};
 use qarith_core::{BatchOptions, MeasureOptions, MethodChoice};
-use qarith_datagen::{database_digest, QueryFamily, WorkloadScale};
+use qarith_datagen::mutations::{sales_mutations, MutationShape};
+use qarith_datagen::{QueryFamily, WorkloadScale};
+use qarith_net::{Decoded, NetClient, NetConfig, NetServer};
 use qarith_serve::{QueryResponse, QueryService, ServeConfig, ShardedCacheConfig};
+use qarith_types::{database_digest, Database, WriteBatch};
 
-use crate::json::{parse, Json, JsonError};
+use crate::json::{
+    counters_from_json, counters_to_json, pairs, parse_document, req, req_f64, req_str, req_u64,
+    Json,
+};
 use crate::suite::{SCHEMA_NAME, SCHEMA_VERSION};
+
+/// The write stream `mutate` replays each repetition: 8 batches of 4
+/// ops. Small enough for a CI smoke step at tiny scale, large enough
+/// that every op kind (insert with fresh nulls, delete, update)
+/// appears.
+pub const MUTATE_SHAPE: MutationShape = MutationShape { batches: 8, ops_per_batch: 4 };
+
+/// The serving path a run measures; its name is the report's document
+/// kind.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ServeKind {
+    /// In-process [`QueryService::query`] calls.
+    Serve,
+    /// The framed protocol over loopback sockets.
+    Wire,
+    /// Write batches interleaved with template replays, in process.
+    Mutate,
+}
+
+impl ServeKind {
+    /// The document kind (`"serve"`, `"wire"`, or `"mutate"`).
+    pub fn name(self) -> &'static str {
+        match self {
+            ServeKind::Serve => "serve",
+            ServeKind::Wire => "wire",
+            ServeKind::Mutate => "mutate",
+        }
+    }
+}
 
 /// How clients generate load.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -164,17 +216,13 @@ impl LatencySummary {
     }
 }
 
-/// A full serving-load run: the schema-v4 `"serve"` document, or —
-/// when produced by [`crate::wire::run_wire_bench`] — the `"wire"`
-/// document measured through real sockets.
+/// A full serving-load run: the schema-v4 `"serve"`, `"wire"`, or
+/// `"mutate"` document.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServeBenchReport {
     /// Schema version ([`SCHEMA_VERSION`]).
     pub schema_version: u64,
-    /// Document kind: `"serve"` (in-process), `"wire"` (through the
-    /// `qarith-net` framed protocol over loopback sockets), or
-    /// `"mutate"` (write batches interleaved with template replays —
-    /// [`crate::mutate::run_mutate_bench`]).
+    /// Document kind ([`ServeKind::name`]).
     pub kind: String,
     /// Scale name.
     pub scale: String,
@@ -182,9 +230,9 @@ pub struct ServeBenchReport {
     pub seed: u64,
     /// The served ε.
     pub epsilon: f64,
-    /// Concurrent client threads.
+    /// Concurrent client threads (1 for `"mutate"`).
     pub clients: u64,
-    /// Passes per client.
+    /// Passes per client (the write-batch count for `"mutate"`).
     pub passes: u64,
     /// Load mode name.
     pub mode: String,
@@ -218,7 +266,7 @@ pub struct ServeBenchReport {
     /// ([`qarith_serve::ShardedCacheStats::as_pairs`] names).
     pub cache: Vec<(String, u64)>,
     /// Wire-listener counters ([`qarith_net::NetStats::as_pairs`]
-    /// names). Empty for in-process (`"serve"`) runs.
+    /// names). Empty for in-process (`"serve"`, `"mutate"`) runs.
     pub net: Vec<(String, u64)>,
     /// Per-stage latency summaries from the service tracer, covering
     /// the run's full lifetime (reference pass + every repetition).
@@ -250,7 +298,7 @@ pub struct StageLatency {
 
 /// The tracer's per-stage summaries as report rows, dropping stages
 /// that never fired (e.g. the wire stages of an in-process run).
-pub(crate) fn stage_latencies(service: &QueryService) -> Vec<StageLatency> {
+fn stage_latencies(service: &QueryService) -> Vec<StageLatency> {
     service
         .latency_stats()
         .summaries()
@@ -271,7 +319,7 @@ pub(crate) fn stage_latencies(service: &QueryService) -> Vec<StageLatency> {
 /// sampling seed derives from the generation seed exactly like the
 /// workload suite's (`seed ^ 0xF1616`), so suite and serving runs at
 /// equal config sample identically.
-pub(crate) fn serving_options(epsilon: f64, seed: u64) -> MeasureOptions {
+fn serving_options(epsilon: f64, seed: u64) -> MeasureOptions {
     MeasureOptions {
         method: MethodChoice::Afpras,
         afpras: AfprasOptions {
@@ -285,9 +333,12 @@ pub(crate) fn serving_options(epsilon: f64, seed: u64) -> MeasureOptions {
     }
 }
 
-/// μ-relevant response bits (tuple, value, samples, dimension) — what
-/// concurrent responses are compared on and the digest is built from.
-pub(crate) fn response_bits(r: &QueryResponse) -> Vec<(String, u64, u64, u64)> {
+/// μ-relevant bits of one answer: (tuple, value bits, samples,
+/// dimension) — what replies are compared on and the digest is built
+/// from.
+type AnswerBits = (String, u64, u64, u64);
+
+fn response_bits(r: &QueryResponse) -> Vec<AnswerBits> {
     r.answers
         .iter()
         .map(|a| {
@@ -301,112 +352,214 @@ pub(crate) fn response_bits(r: &QueryResponse) -> Vec<(String, u64, u64, u64)> {
         .collect()
 }
 
-/// Runs the configured load test. Panics if any concurrent response
-/// deviates from the sequential reference by a single bit — that is a
-/// correctness failure, not a measurement.
-pub fn run_serve_bench(config: &ServeBenchConfig) -> ServeBenchReport {
+/// One reply reduced to what the driver checks: the snapshot it
+/// executed against (epoch, database digest) and its answer bits.
+struct Served {
+    snapshot: Option<(u64, u64)>,
+    bits: Vec<AnswerBits>,
+}
+
+/// One client's connection to the service under load — the driver's
+/// transport.
+enum Client<'a> {
+    /// In-process [`QueryService::query`] calls.
+    InProcess(&'a QueryService),
+    /// A socket to the loopback [`NetServer`].
+    Wire(NetClient),
+}
+
+impl Client<'_> {
+    /// Issues one query. Returns the latency counted from `issued` —
+    /// stopped before the reply is reduced, so only the round trip is
+    /// timed — and the reduced reply.
+    fn query(&mut self, sql: &str, issued: Instant) -> (f64, Served) {
+        match self {
+            Client::InProcess(service) => {
+                let response = service.query(sql).expect("workload SQL serves");
+                let latency = issued.elapsed().as_secs_f64();
+                let snapshot = Some((response.epoch, response.db_digest));
+                (latency, Served { snapshot, bits: response_bits(&response) })
+            }
+            Client::Wire(client) => {
+                let decoded = client.query(sql).expect("wire round trip");
+                let latency = issued.elapsed().as_secs_f64();
+                let Decoded::Reply(reply) = decoded else {
+                    panic!("wire bench expected an ok reply, got {decoded:?}")
+                };
+                let bits = reply
+                    .answers
+                    .into_iter()
+                    .map(|a| (a.tuple, a.nu_bits, a.samples, a.dimension))
+                    .collect();
+                (latency, Served { snapshot: reply.epoch.zip(reply.db_digest), bits })
+            }
+        }
+    }
+}
+
+/// The sequential reference pass: every template once, in order, in
+/// process. Returns each template's answer bits and the FNV-1a
+/// certainty digest over them (hex) — the quantity every serving
+/// baseline pins. On a fresh service it also warms the plan and ν
+/// caches.
+fn reference_pass(service: &QueryService, sql: &[String]) -> (Vec<Vec<AnswerBits>>, String) {
+    let mut digest = qarith_numeric::Fnv1a64::new();
+    let reference = sql
+        .iter()
+        .map(|q| {
+            let response = service.query(q).expect("workload SQL serves");
+            let bits = response_bits(&response);
+            digest.update(response.fingerprint.as_bytes());
+            for (tuple, value, samples, dimension) in &bits {
+                digest.update(tuple.as_bytes());
+                for n in [*value, *samples, *dimension] {
+                    digest.update(&n.to_le_bytes());
+                }
+            }
+            bits
+        })
+        .collect();
+    (reference, format!("{:#018x}", digest.finish()))
+}
+
+/// Runs the configured load test on the path `kind` names. Panics if
+/// any reply deviates from the sequential reference by a single bit,
+/// or names a snapshot other than the one the last write acked — that
+/// is a correctness failure, not a measurement.
+///
+/// Under [`ServeKind::Mutate`], `clients`, `mode`, and `rate` from the
+/// config are ignored (the write path runs single-threaded and
+/// closed-loop); the report pins them to `1` / `"closed"` / `0` so
+/// fresh-vs-baseline config comparison stays meaningful regardless of
+/// how the binary was invoked.
+pub fn run_serve_bench(config: &ServeBenchConfig, kind: ServeKind) -> ServeBenchReport {
     let db = qarith_datagen::sales::sales_database(&config.scale.params(), config.seed);
     let db_stats = db.stats();
     let db_digest = format!("{:#018x}", database_digest(&db));
+    let writes = match kind {
+        ServeKind::Mutate => sales_mutations(&db, config.seed, MUTATE_SHAPE),
+        ServeKind::Serve | ServeKind::Wire => Vec::new(),
+    };
+    // The shape that actually runs, with every count at least 1.
+    let (clients, passes, mode) = if writes.is_empty() {
+        (config.clients.max(1), config.passes.max(1), config.mode)
+    } else {
+        (1, writes.len(), LoadMode::Closed)
+    };
+    let config =
+        &ServeBenchConfig { clients, passes, mode, reps: config.reps.max(1), ..config.clone() };
 
     let sql: Vec<String> =
         config.families.iter().flat_map(QueryFamily::queries).map(|q| q.sql).collect();
     assert!(!sql.is_empty(), "no query families configured");
 
-    let service = Arc::new(QueryService::new(
-        db,
-        ServeConfig {
-            options: serving_options(config.epsilon, config.seed),
-            cache: ShardedCacheConfig {
-                shards: config.cache_shards,
-                budget_bytes: config.cache_budget_bytes,
+    let service_for = |db: Database| {
+        Arc::new(QueryService::new(
+            db,
+            ServeConfig {
+                options: serving_options(config.epsilon, config.seed),
+                cache: ShardedCacheConfig {
+                    shards: config.cache_shards,
+                    budget_bytes: config.cache_budget_bytes,
+                },
+                max_in_flight: config.max_in_flight,
+                // The workload population is 9 templates; the default
+                // cap never evicts here, which keeps the timed phase
+                // pure plan-hit serving.
+                ..ServeConfig::default()
             },
-            max_in_flight: config.max_in_flight,
-            // The workload population is 9 templates; the default cap
-            // never evicts here, which keeps the timed phase pure
-            // plan-hit serving.
-            ..ServeConfig::default()
-        },
-    ));
+        ))
+    };
+    let mut service = service_for(db.clone());
+    let (reference, certainty_digest) = reference_pass(&service, &sql);
 
-    // Sequential reference pass: pins the expected bits, warms the plan
-    // cache, and feeds the ν-cache exactly once per group.
-    let mut digest = qarith_numeric::Fnv1a64::new();
-    let mut reference = Vec::with_capacity(sql.len());
-    for q in &sql {
-        let response = service.query(q).expect("workload SQL serves");
-        let bits = response_bits(&response);
-        digest.update(response.fingerprint.as_bytes());
-        for (tuple, value, samples, dimension) in &bits {
-            digest.update(tuple.as_bytes());
-            for n in [*value, *samples, *dimension] {
-                digest.update(&n.to_le_bytes());
-            }
+    let server = (kind == ServeKind::Wire).then(|| {
+        NetServer::start(service.clone(), NetConfig::default())
+            .expect("bind a loopback listener on an ephemeral port")
+    });
+    let addr = server.as_ref().map(NetServer::local_addr);
+
+    // Timed repetitions; keep the one with the lowest p95 (and, for
+    // the write path, the service it ran on).
+    let mut best: Option<(LatencySummary, f64, Arc<QueryService>)> = None;
+    for rep in 0..config.reps {
+        if rep > 0 && !writes.is_empty() {
+            // The previous rep's writes moved the service past epoch
+            // 0: start over from a pristine, warmed service.
+            service = service_for(db.clone());
+            reference_pass(&service, &sql);
         }
-        reference.push(bits);
-    }
-
-    // Timed repetitions; keep the one with the lowest p95.
-    let requests_per_rep = config.clients.max(1) * config.passes.max(1) * sql.len();
-    let mut best: Option<(LatencySummary, f64)> = None;
-    for _ in 0..config.reps.max(1) {
-        let (mut latencies, seconds) = timed_rep(config, &service, &sql, &reference);
+        let (mut latencies, seconds) = timed_rep(config, &service, addr, &sql, &reference, &writes);
         let summary = LatencySummary::of(&mut latencies);
-        if best.map_or(true, |(b, _)| summary.p95 < b.p95) {
-            best = Some((summary, seconds));
+        if best.as_ref().map_or(true, |(b, ..)| summary.p95 < b.p95) {
+            best = Some((summary, seconds, service.clone()));
         }
     }
-    let (latency, seconds) = best.expect("reps ≥ 1");
+    let (latency, seconds, service) = best.expect("reps ≥ 1");
 
-    let templates: std::collections::HashSet<String> = sql
+    // Drain before reading counters: the gauge rows settle to 0 and
+    // `connections_closed` becomes final.
+    let net = server.map_or_else(Vec::new, |server| {
+        let outcome = server.shutdown(Duration::from_secs(10));
+        assert!(outcome.drained, "wire bench listener failed to drain: {outcome:?}");
+        pairs(&server.stats().as_pairs())
+    });
+
+    let templates: HashSet<String> = sql
         .iter()
         .map(|q| qarith_sql::sql_fingerprint(q).expect("workload SQL fingerprints"))
         .collect();
+    let requests = config.clients * config.passes * (sql.len() + usize::from(!writes.is_empty()));
 
     ServeBenchReport {
         schema_version: SCHEMA_VERSION,
-        kind: "serve".to_string(),
+        kind: kind.name().to_string(),
         scale: config.scale.name().to_string(),
         seed: config.seed,
         epsilon: config.epsilon,
-        clients: config.clients.max(1) as u64,
-        passes: config.passes.max(1) as u64,
+        clients: config.clients as u64,
+        passes: config.passes as u64,
         mode: config.mode.name().to_string(),
         rate: if config.mode == LoadMode::Open { config.rate } else { 0.0 },
-        reps: config.reps.max(1) as u64,
+        reps: config.reps as u64,
         db_tuples: db_stats.tuples as u64,
         db_num_nulls: db_stats.num_nulls as u64,
         db_digest,
         templates: templates.len() as u64,
-        requests: requests_per_rep as u64,
+        requests: requests as u64,
         seconds,
-        qps: requests_per_rep as f64 / seconds.max(1e-9),
+        qps: requests as f64 / seconds.max(1e-9),
         latency,
         service: pairs(&service.stats().as_pairs()),
         admission: pairs(&service.admission_stats().as_pairs()),
         cache: pairs(&service.cache_stats().as_pairs()),
-        net: Vec::new(),
+        net,
         stages: stage_latencies(&service),
-        certainty_digest: format!("{:#018x}", digest.finish()),
+        certainty_digest,
     }
 }
 
-pub(crate) fn pairs(p: &[(&'static str, u64)]) -> Vec<(String, u64)> {
-    p.iter().map(|(k, v)| ((*k).to_string(), *v)).collect()
-}
-
-/// One timed repetition: all clients through the shared service,
-/// returning per-request latencies and the wall-clock seconds.
+/// One timed repetition: every client replays its share of the op
+/// schedule through its own transport — `addr` names the loopback
+/// server on the wire, `None` means in-process calls — returning
+/// per-op latencies and the wall-clock seconds.
+///
+/// The schedule is `clients × passes` rounds, claimed op by op from
+/// one shared counter. A round is every template once, preceded by one
+/// write batch when there is a write stream (then there is one client
+/// and one round per batch).
 fn timed_rep(
     config: &ServeBenchConfig,
-    service: &Arc<QueryService>,
+    service: &QueryService,
+    addr: Option<SocketAddr>,
     sql: &[String],
-    reference: &[Vec<(String, u64, u64, u64)>],
+    reference: &[Vec<AnswerBits>],
+    writes: &[WriteBatch],
 ) -> (Vec<f64>, f64) {
-    let clients = config.clients.max(1);
-    let passes = config.passes.max(1);
-    let total = clients * passes * sql.len();
-    let barrier = Barrier::new(clients + 1);
+    let writes_per_round = usize::from(!writes.is_empty());
+    let round = writes_per_round + sql.len();
+    let total = config.clients * config.passes * round;
+    let barrier = Barrier::new(config.clients + 1);
     let next = AtomicUsize::new(0);
     let interval = if config.mode == LoadMode::Open {
         assert!(config.rate > 0.0, "open-loop mode needs a positive --rate");
@@ -418,57 +571,70 @@ fn timed_rep(
     let mut all_latencies: Vec<f64> = Vec::with_capacity(total);
     let mut seconds = 0.0f64;
     std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..clients)
+        let workers: Vec<_> = (0..config.clients)
             .map(|_| {
-                let (service, barrier, next) = (service.clone(), &barrier, &next);
+                let (barrier, next) = (&barrier, &next);
                 scope.spawn(move || {
+                    // Connect before the barrier so the timed window
+                    // measures serving, not TCP establishment.
+                    let mut client = match addr {
+                        Some(addr) => Client::Wire(
+                            NetClient::connect(addr).expect("connect to the loopback server"),
+                        ),
+                        None => Client::InProcess(service),
+                    };
+                    let snapshot = service.snapshot().expect("epoch store readable");
+                    let mut acked = (snapshot.epoch, snapshot.digest);
                     barrier.wait();
                     let start = Instant::now();
-                    let mut latencies = Vec::with_capacity(total / clients + 1);
-                    match config.mode {
-                        LoadMode::Closed => {
-                            // Closed loop: clients own pass slices and
-                            // issue back to back.
-                            loop {
-                                let k = next.fetch_add(1, Ordering::Relaxed);
-                                if k >= total {
-                                    break;
-                                }
-                                let q = &sql[k % sql.len()];
-                                let issued = Instant::now();
-                                let response = service.query(q).expect("served");
-                                latencies.push(issued.elapsed().as_secs_f64());
-                                assert_eq!(
-                                    response_bits(&response),
-                                    reference[k % sql.len()],
-                                    "concurrent response drifted from the sequential reference"
-                                );
-                            }
+                    let mut latencies = Vec::with_capacity(total / config.clients + 1);
+                    loop {
+                        let k = next.fetch_add(1, Ordering::Relaxed);
+                        if k >= total {
+                            break;
                         }
-                        LoadMode::Open => {
-                            // Open loop: request k is *scheduled* at
-                            // start + k·interval; latency counts from
-                            // the schedule, so falling behind shows up
-                            // as latency (no coordinated omission).
-                            loop {
-                                let k = next.fetch_add(1, Ordering::Relaxed);
-                                if k >= total {
-                                    break;
-                                }
+                        let issued = match config.mode {
+                            LoadMode::Closed => Instant::now(),
+                            LoadMode::Open => {
+                                // Request k is *scheduled* at start +
+                                // k·interval; latency counts from the
+                                // schedule, so falling behind shows up
+                                // as latency (no coordinated omission).
                                 let scheduled = start + interval * k as u32;
                                 if let Some(wait) = scheduled.checked_duration_since(Instant::now())
                                 {
                                     std::thread::sleep(wait);
                                 }
-                                let q = &sql[k % sql.len()];
-                                let response = service.query(q).expect("served");
-                                latencies.push(scheduled.elapsed().as_secs_f64());
-                                assert_eq!(
-                                    response_bits(&response),
-                                    reference[k % sql.len()],
-                                    "concurrent response drifted from the sequential reference"
-                                );
+                                scheduled
                             }
+                        };
+                        let slot = k % round;
+                        if slot < writes_per_round {
+                            let outcome =
+                                service.apply(&writes[k / round]).expect("mutation batch commits");
+                            latencies.push(issued.elapsed().as_secs_f64());
+                            assert_eq!(
+                                outcome.noops, 0,
+                                "the generated stream is constructed to apply every op"
+                            );
+                            acked = (outcome.epoch, outcome.db_digest);
+                            continue;
+                        }
+                        let q = slot - writes_per_round;
+                        let (latency, served) = client.query(&sql[q], issued);
+                        latencies.push(latency);
+                        assert_eq!(
+                            served.snapshot,
+                            Some(acked),
+                            "a response must execute against the snapshot the last write acked"
+                        );
+                        // Before the first write, the reference pass
+                        // pinned every bit.
+                        if acked.0 == 0 {
+                            assert_eq!(
+                                served.bits, reference[q],
+                                "response drifted from the sequential reference"
+                            );
                         }
                     }
                     // The client's own wall clock, from its barrier
@@ -494,27 +660,8 @@ fn timed_rep(
 // JSON serialization
 // ---------------------------------------------------------------------
 
-fn counters_to_json(pairs: &[(String, u64)]) -> Json {
-    Json::Obj(pairs.iter().map(|(k, v)| (k.clone(), Json::num_u64(*v))).collect())
-}
-
-fn counters_from_json(v: &Json, what: &str) -> Result<Vec<(String, u64)>, String> {
-    match v {
-        Json::Obj(pairs) => pairs
-            .iter()
-            .map(|(k, v)| {
-                v.as_u64()
-                    .map(|n| (k.clone(), n))
-                    .ok_or_else(|| format!("{what}.{k}: expected a counter"))
-            })
-            .collect(),
-        _ => Err(format!("{what}: expected an object")),
-    }
-}
-
 impl ServeBenchReport {
-    /// Serializes to the pretty-printed `BENCH_*.json` document (kind
-    /// `"serve"` or `"wire"`).
+    /// Serializes to the pretty-printed `BENCH_*.json` document.
     pub fn to_json(&self) -> String {
         Json::obj([
             ("schema", Json::str(SCHEMA_NAME)),
@@ -579,26 +726,11 @@ impl ServeBenchReport {
 
     /// Parses a document produced by [`ServeBenchReport::to_json`].
     /// Rejects unknown schema names, future versions, and kinds other
-    /// than `"serve"` / `"wire"` / `"mutate"`. The `net` block is
-    /// optional on parse (v2 serve documents predate it).
+    /// than `"serve"` / `"wire"` / `"mutate"`.
     pub fn from_json(text: &str) -> Result<ServeBenchReport, String> {
-        let doc = parse(text).map_err(|e: JsonError| e.to_string())?;
-        let schema = req_str(&doc, "schema")?;
-        if schema != SCHEMA_NAME {
-            return Err(format!("unknown schema `{schema}` (expected `{SCHEMA_NAME}`)"));
-        }
-        let schema_version = req_u64(&doc, "schema_version")?;
-        if schema_version > SCHEMA_VERSION {
-            return Err(format!(
-                "schema version {schema_version} is newer than this binary's {SCHEMA_VERSION}"
-            ));
-        }
-        let kind = req_str(&doc, "kind")?;
-        if kind != "serve" && kind != "wire" && kind != "mutate" {
-            return Err(format!("document kind `{kind}` is not a serve report"));
-        }
-        let db = doc.get("db").ok_or("missing field `db`")?;
-        let latency = doc.get("latency").ok_or("missing field `latency`")?;
+        let (doc, schema_version, kind) = parse_document(text, &["serve", "wire", "mutate"])?;
+        let db = req(&doc, "db")?;
+        let latency = req(&doc, "latency")?;
         Ok(ServeBenchReport {
             schema_version,
             kind,
@@ -623,19 +755,12 @@ impl ServeBenchReport {
                 p99: req_f64(latency, "p99")?,
                 max: req_f64(latency, "max")?,
             },
-            service: counters_from_json(doc.get("service").ok_or("missing `service`")?, "service")?,
-            admission: counters_from_json(
-                doc.get("admission").ok_or("missing `admission`")?,
-                "admission",
-            )?,
-            cache: counters_from_json(doc.get("cache").ok_or("missing `cache`")?, "cache")?,
-            net: match doc.get("net") {
-                Some(v) => counters_from_json(v, "net")?,
-                None => Vec::new(),
-            },
-            // v3 documents predate the stages block.
-            stages: match doc.get("stages") {
-                Some(Json::Obj(rows)) => rows
+            service: counters_from_json(req(&doc, "service")?, "service")?,
+            admission: counters_from_json(req(&doc, "admission")?, "admission")?,
+            cache: counters_from_json(req(&doc, "cache")?, "cache")?,
+            net: counters_from_json(req(&doc, "net")?, "net")?,
+            stages: match req(&doc, "stages")? {
+                Json::Obj(rows) => rows
                     .iter()
                     .map(|(stage, v)| {
                         Ok(StageLatency {
@@ -647,27 +772,11 @@ impl ServeBenchReport {
                         })
                     })
                     .collect::<Result<Vec<StageLatency>, String>>()?,
-                Some(_) => return Err("stages: expected an object".to_string()),
-                None => Vec::new(),
+                _ => return Err("stages: expected an object".to_string()),
             },
             certainty_digest: req_str(&doc, "certainty_digest")?,
         })
     }
-}
-
-fn req_str(v: &Json, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field `{key}`"))
-}
-
-fn req_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key).and_then(Json::as_u64).ok_or_else(|| format!("missing integer field `{key}`"))
-}
-
-fn req_f64(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key).and_then(Json::as_f64).ok_or_else(|| format!("missing number field `{key}`"))
 }
 
 // ---------------------------------------------------------------------

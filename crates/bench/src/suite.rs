@@ -13,10 +13,8 @@
 //!
 //! recording wall time, fresh Monte-Carlo direction counts,
 //! dedup/cache/factorization counters, and the full per-candidate
-//! certainty vectors, then finishes with a warm-ν-cache multi-threaded
-//! serving pass (repeated traffic over an already-hot cache — the
-//! workload shape a long-running service sees, as opposed to the cold
-//! batch latency the per-point table measures).
+//! certainty vectors. Serving throughput over a warm cache is
+//! `serve_bench`'s job ([`crate::serve`]).
 //!
 //! The result serializes to the schema-versioned `BENCH_*.json`
 //! trajectory ([`SuiteReport::to_json`]) and parses back
@@ -32,12 +30,15 @@
 //! only timings get a tolerance.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use qarith_core::{BatchOptions, BatchStats, NuCache};
-use qarith_datagen::{database_digest, QueryFamily, WorkloadScale, WorkloadSpec};
+use qarith_datagen::{QueryFamily, WorkloadScale, WorkloadSpec};
+use qarith_types::database_digest;
 
-use crate::json::{parse, Json, JsonError};
+use crate::json::{
+    counters_from_json, counters_to_json, pairs, parse_document, req, req_arr, req_f64,
+    req_f64_arr, req_str, req_u64, Json,
+};
 use crate::{secs, BatchPoint, Fig1Harness};
 
 /// Version of the `BENCH_*.json` schema. Bump when a field is renamed,
@@ -68,6 +69,9 @@ use crate::{secs, BatchPoint, Fig1Harness};
 /// gating the blocked kernel's hits digest, allocs-per-sample pin, and
 /// directions/sec against `baselines/KERNEL_*.json`. Additive (no
 /// existing document changes shape), so the version stays 4.
+///
+/// Parsers read v4 only: every field above is required, so an older
+/// document fails on its first missing field.
 pub const SCHEMA_VERSION: u64 = 4;
 
 /// The schema identifier stored in every report.
@@ -98,16 +102,11 @@ pub struct SuiteConfig {
     /// time). One additional untimed recording run per point feeds the
     /// shared caches and provides estimates/counters. Must be ≥ 1.
     pub reps: usize,
-    /// Client threads of the serving pass (0 disables the pass).
-    pub serving_threads: usize,
-    /// Passes over the whole workload per serving client.
-    pub serving_passes: usize,
 }
 
 impl SuiteConfig {
     /// The default configuration at a scale: all three families, the
-    /// default ε ladder, 4 batch workers, a 4-client × 3-pass serving
-    /// phase.
+    /// default ε ladder, 4 batch workers, 3 reps.
     pub fn default_for(scale: WorkloadScale) -> SuiteConfig {
         SuiteConfig {
             scale,
@@ -116,8 +115,6 @@ impl SuiteConfig {
             epsilons: default_epsilons(),
             threads: 4,
             reps: 3,
-            serving_threads: 4,
-            serving_passes: 3,
         }
     }
 
@@ -175,23 +172,6 @@ pub struct FamilyReport {
     pub queries: Vec<QueryReport>,
 }
 
-/// The warm-cache multi-threaded serving pass.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ServingReport {
-    /// The ε served (the ladder's finest).
-    pub epsilon: f64,
-    /// Concurrent client threads.
-    pub client_threads: u64,
-    /// Passes over the whole workload per client.
-    pub passes: u64,
-    /// Total query executions across clients and passes.
-    pub queries: u64,
-    /// Wall-clock seconds for the whole pass.
-    pub seconds: f64,
-    /// ν-cache counters after the pass ([`qarith_core::CacheStats`]).
-    pub cache: Vec<(String, u64)>,
-}
-
 /// A full suite run: the machine-readable perf artifact.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SuiteReport {
@@ -215,12 +195,6 @@ pub struct SuiteReport {
     pub db_digest: String,
     /// Per-family reports.
     pub families: Vec<FamilyReport>,
-    /// The serving pass (absent when disabled).
-    pub serving: Option<ServingReport>,
-}
-
-fn pairs_to_vec(pairs: &[(&'static str, u64)]) -> Vec<(String, u64)> {
-    pairs.iter().map(|(k, v)| ((*k).to_string(), *v)).collect()
 }
 
 fn fresh_directions(estimates: &[qarith_core::CertaintyEstimate]) -> u64 {
@@ -234,8 +208,8 @@ fn batch_point_report(pipeline: &str, point: &BatchPoint, rewrites: bool) -> Poi
         epsilon: point.epsilon,
         seconds: secs(point.time),
         directions: fresh_directions(&point.estimates),
-        batch: Some(pairs_to_vec(&point.stats.as_pairs())),
-        rewrite: rewrites.then(|| pairs_to_vec(&rewrite.as_pairs())),
+        batch: Some(pairs(&point.stats.as_pairs())),
+        rewrite: rewrites.then(|| pairs(&rewrite.as_pairs())),
         certainties: point.estimates.iter().map(|e| e.value).collect(),
     }
 }
@@ -270,12 +244,12 @@ pub fn run_suite(config: &SuiteConfig) -> SuiteReport {
                 // Cold timed repetitions: fresh per-rep caches, so every
                 // rep measures the cold path; the recorded time is the
                 // minimum (noise only ever adds). The batch/rewrite
-                // recording runs afterwards feed the family-shared
-                // caches (warm serving pass) and provide the recorded
-                // counters — they may be partially cache-served, so
-                // their times are never used. The sequential pipeline
-                // has no cache to feed and is deterministic, so any
-                // cold rep's estimates serve as its recording run.
+                // recording runs afterwards share one cache per family
+                // and provide the recorded counters — they may be
+                // partially cache-served, so their times are never
+                // used. The sequential pipeline has no cache to feed
+                // and is deterministic, so any cold rep's estimates
+                // serve as its recording run.
                 let mut seq_secs = f64::INFINITY;
                 let mut batch_secs = f64::INFINITY;
                 let mut rewrite_secs = f64::INFINITY;
@@ -363,8 +337,6 @@ pub fn run_suite(config: &SuiteConfig) -> SuiteReport {
         families.push(FamilyReport { family: family.name().to_string(), queries });
     }
 
-    let serving = (config.serving_threads > 0).then(|| serving_pass(config, &harnesses));
-
     let stats = db_stats;
     SuiteReport {
         schema_version: SCHEMA_VERSION,
@@ -377,86 +349,12 @@ pub fn run_suite(config: &SuiteConfig) -> SuiteReport {
         db_num_nulls: stats.num_nulls as u64,
         db_digest,
         families,
-        serving,
-    }
-}
-
-type FamilyHarness = (QueryFamily, Fig1Harness, Arc<NuCache>, Arc<NuCache>);
-
-/// The warm-ν-cache serving phase: every canonical group is already
-/// cached from the per-point batch runs, so this measures repeated-
-/// traffic throughput — concurrent clients replaying the workload at
-/// the finest ε, each with a single-threaded engine (concurrency comes
-/// from the clients, as in a server handling parallel sessions).
-fn serving_pass(config: &SuiteConfig, harnesses: &[FamilyHarness]) -> ServingReport {
-    let eps = config.epsilons.iter().copied().fold(f64::INFINITY, f64::min);
-    let sample_seed = config.seed ^ 0xF1616;
-    let serve_batch = BatchOptions { threads: 1, dedup: true };
-    let mut seconds = f64::INFINITY;
-    // Like the per-point timings: repeat and keep the minimum (the cache
-    // is warm from the measurement phase, so every rep serves hot).
-    for _ in 0..config.reps.max(1) {
-        let started = Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..config.serving_threads {
-                scope.spawn(|| {
-                    for _ in 0..config.serving_passes {
-                        for (_, harness, batch_cache, _) in harnesses {
-                            for qi in 0..harness.queries.len() {
-                                harness.run_epsilon_batch(
-                                    qi,
-                                    eps,
-                                    sample_seed,
-                                    serve_batch,
-                                    Some(batch_cache.clone()),
-                                );
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        seconds = seconds.min(secs(started.elapsed()));
-    }
-    let total_queries: usize = harnesses.iter().map(|(_, h, ..)| h.queries.len()).sum();
-    let mut cache = [0u64; 3];
-    for (_, _, batch_cache, _) in harnesses {
-        for (i, (_, v)) in batch_cache.stats().as_pairs().iter().enumerate() {
-            cache[i] += v;
-        }
-    }
-    let names = ["hits", "misses", "entries"];
-    ServingReport {
-        epsilon: eps,
-        client_threads: config.serving_threads as u64,
-        passes: config.serving_passes as u64,
-        queries: (config.serving_threads * config.serving_passes * total_queries) as u64,
-        seconds,
-        cache: names.iter().zip(cache).map(|(n, v)| ((*n).to_string(), v)).collect(),
     }
 }
 
 // ---------------------------------------------------------------------
 // JSON serialization
 // ---------------------------------------------------------------------
-
-fn counters_to_json(pairs: &[(String, u64)]) -> Json {
-    Json::Obj(pairs.iter().map(|(k, v)| (k.clone(), Json::num_u64(*v))).collect())
-}
-
-fn counters_from_json(v: &Json, what: &str) -> Result<Vec<(String, u64)>, String> {
-    match v {
-        Json::Obj(pairs) => pairs
-            .iter()
-            .map(|(k, v)| {
-                v.as_u64()
-                    .map(|n| (k.clone(), n))
-                    .ok_or_else(|| format!("{what}.{k}: expected a counter"))
-            })
-            .collect(),
-        _ => Err(format!("{what}: expected an object")),
-    }
-}
 
 impl PointReport {
     fn to_json(&self) -> Json {
@@ -522,20 +420,17 @@ impl QueryReport {
 impl SuiteReport {
     /// Serializes to the pretty-printed `BENCH_*.json` document.
     pub fn to_json(&self) -> String {
-        let mut pairs = vec![
-            ("schema".to_string(), Json::str(SCHEMA_NAME)),
-            ("schema_version".to_string(), Json::num_u64(self.schema_version)),
-            ("kind".to_string(), Json::str("suite")),
-            ("scale".to_string(), Json::str(&self.scale)),
-            ("seed".to_string(), Json::num_u64(self.seed)),
-            ("threads".to_string(), Json::num_u64(self.threads)),
-            ("reps".to_string(), Json::num_u64(self.reps)),
+        Json::obj([
+            ("schema", Json::str(SCHEMA_NAME)),
+            ("schema_version", Json::num_u64(self.schema_version)),
+            ("kind", Json::str("suite")),
+            ("scale", Json::str(&self.scale)),
+            ("seed", Json::num_u64(self.seed)),
+            ("threads", Json::num_u64(self.threads)),
+            ("reps", Json::num_u64(self.reps)),
+            ("epsilons", Json::Arr(self.epsilons.iter().map(|&e| Json::Num(e)).collect())),
             (
-                "epsilons".to_string(),
-                Json::Arr(self.epsilons.iter().map(|&e| Json::Num(e)).collect()),
-            ),
-            (
-                "db".to_string(),
+                "db",
                 Json::obj([
                     ("tuples", Json::num_u64(self.db_tuples)),
                     ("num_nulls", Json::num_u64(self.db_num_nulls)),
@@ -543,7 +438,7 @@ impl SuiteReport {
                 ]),
             ),
             (
-                "families".to_string(),
+                "families",
                 Json::Arr(
                     self.families
                         .iter()
@@ -559,44 +454,15 @@ impl SuiteReport {
                         .collect(),
                 ),
             ),
-        ];
-        if let Some(s) = &self.serving {
-            pairs.push((
-                "serving".to_string(),
-                Json::obj([
-                    ("epsilon", Json::Num(s.epsilon)),
-                    ("client_threads", Json::num_u64(s.client_threads)),
-                    ("passes", Json::num_u64(s.passes)),
-                    ("queries", Json::num_u64(s.queries)),
-                    ("seconds", Json::Num(s.seconds)),
-                    ("cache", counters_to_json(&s.cache)),
-                ]),
-            ));
-        }
-        Json::Obj(pairs).pretty()
+        ])
+        .pretty()
     }
 
     /// Parses a document produced by [`SuiteReport::to_json`]. Rejects
     /// unknown schema names and future schema versions.
     pub fn from_json(text: &str) -> Result<SuiteReport, String> {
-        let doc = parse(text).map_err(|e: JsonError| e.to_string())?;
-        let schema = req_str(&doc, "schema")?;
-        if schema != SCHEMA_NAME {
-            return Err(format!("unknown schema `{schema}` (expected `{SCHEMA_NAME}`)"));
-        }
-        let schema_version = req_u64(&doc, "schema_version")?;
-        if schema_version > SCHEMA_VERSION {
-            return Err(format!(
-                "schema version {schema_version} is newer than this binary's {SCHEMA_VERSION}"
-            ));
-        }
-        // v1 documents predate the discriminator and are all suites.
-        if let Some(kind) = doc.get("kind").and_then(Json::as_str) {
-            if kind != "suite" {
-                return Err(format!("document kind `{kind}` is not a suite report"));
-            }
-        }
-        let db = doc.get("db").ok_or("missing field `db`")?;
+        let (doc, schema_version, _) = parse_document(text, &["suite"])?;
+        let db = req(&doc, "db")?;
         let families = req_arr(&doc, "families")?
             .iter()
             .map(|f| {
@@ -609,19 +475,6 @@ impl SuiteReport {
                 })
             })
             .collect::<Result<_, String>>()?;
-        let serving = doc
-            .get("serving")
-            .map(|s| {
-                Ok::<_, String>(ServingReport {
-                    epsilon: req_f64(s, "epsilon")?,
-                    client_threads: req_u64(s, "client_threads")?,
-                    passes: req_u64(s, "passes")?,
-                    queries: req_u64(s, "queries")?,
-                    seconds: req_f64(s, "seconds")?,
-                    cache: counters_from_json(s.get("cache").ok_or("missing `cache`")?, "cache")?,
-                })
-            })
-            .transpose()?;
         Ok(SuiteReport {
             schema_version,
             scale: req_str(&doc, "scale")?,
@@ -633,7 +486,6 @@ impl SuiteReport {
             db_num_nulls: req_u64(db, "num_nulls")?,
             db_digest: req_str(db, "digest")?,
             families,
-            serving,
         })
     }
 
@@ -661,32 +513,6 @@ impl SuiteReport {
     }
 }
 
-fn req_str(v: &Json, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field `{key}`"))
-}
-
-fn req_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key).and_then(Json::as_u64).ok_or_else(|| format!("missing integer field `{key}`"))
-}
-
-fn req_f64(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key).and_then(Json::as_f64).ok_or_else(|| format!("missing number field `{key}`"))
-}
-
-fn req_arr<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    v.get(key).and_then(Json::as_arr).ok_or_else(|| format!("missing array field `{key}`"))
-}
-
-fn req_f64_arr(v: &Json, key: &str) -> Result<Vec<f64>, String> {
-    req_arr(v, key)?
-        .iter()
-        .map(|x| x.as_f64().ok_or_else(|| format!("`{key}`: expected numbers")))
-        .collect()
-}
-
 // ---------------------------------------------------------------------
 // Baseline gate
 // ---------------------------------------------------------------------
@@ -708,8 +534,7 @@ fn req_f64_arr(v: &Json, key: &str) -> Result<Vec<f64>, String> {
 ///   `rewrite` factorization block) are compared exactly, **except**
 ///   `batch.threads`, which is capped by the runner's available
 ///   parallelism and therefore machine-dependent. A counter block
-///   present on only one side is a failure, and so is a serving pass
-///   present on only one side.
+///   present on only one side is a failure.
 pub fn check_against_baseline(
     fresh: &SuiteReport,
     baseline: &SuiteReport,
@@ -821,32 +646,6 @@ pub fn check_against_baseline(
             ));
         }
     }
-    match (&fresh.serving, &baseline.serving) {
-        (None, None) => {}
-        (Some(s), Some(bs)) => {
-            if s.client_threads != bs.client_threads || s.passes != bs.passes {
-                failures.push(format!(
-                    "serving config changed: {}×{} vs baseline {}×{}",
-                    s.client_threads, s.passes, bs.client_threads, bs.passes
-                ));
-            }
-            if bs.seconds > 0.0 && s.seconds > bs.seconds * (1.0 + time_tolerance) {
-                failures.push(format!(
-                    "serving pass wall time regressed: {:.4}s vs baseline {:.4}s \
-                     (+{:.0}% > {:.0}% tolerance)",
-                    s.seconds,
-                    bs.seconds,
-                    100.0 * (s.seconds / bs.seconds - 1.0),
-                    100.0 * time_tolerance
-                ));
-            }
-        }
-        (s, bs) => failures.push(format!(
-            "serving pass present on only one side (fresh: {}, baseline: {})",
-            s.is_some(),
-            bs.is_some()
-        )),
-    }
     failures
 }
 
@@ -924,14 +723,6 @@ mod tests {
                     ],
                 }],
             }],
-            serving: Some(ServingReport {
-                epsilon: 0.05,
-                client_threads: 4,
-                passes: 3,
-                queries: 36,
-                seconds: 0.75,
-                cache: vec![("hits".into(), 30), ("misses".into(), 6), ("entries".into(), 6)],
-            }),
         }
     }
 
@@ -982,15 +773,6 @@ mod tests {
         let failures = check_against_baseline(&fresh, &baseline, 0.25);
         assert!(failures.iter().any(|f| f.contains("seed")), "{failures:?}");
         assert!(failures.iter().any(|f| f.contains("db.digest")), "{failures:?}");
-    }
-
-    #[test]
-    fn one_sided_serving_pass_fails_the_gate() {
-        let baseline = tiny_report();
-        let mut fresh = baseline.clone();
-        fresh.serving = None;
-        let failures = check_against_baseline(&fresh, &baseline, 0.25);
-        assert!(failures.iter().any(|f| f.contains("serving pass present")), "{failures:?}");
     }
 
     #[test]

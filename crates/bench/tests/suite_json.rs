@@ -10,7 +10,7 @@ use qarith_datagen::{QueryFamily, WorkloadScale};
 
 /// A fast configuration: all three families (execution coverage — SQL
 /// that merely *compiles* can still be rejected by the CQ executor),
-/// one coarse ε, single rep, a 2-client serving pass.
+/// one coarse ε, single rep.
 fn mini_config() -> SuiteConfig {
     SuiteConfig {
         scale: WorkloadScale::Tiny,
@@ -19,8 +19,6 @@ fn mini_config() -> SuiteConfig {
         epsilons: vec![0.1],
         threads: 2,
         reps: 1,
-        serving_threads: 2,
-        serving_passes: 1,
     }
 }
 
@@ -35,9 +33,6 @@ fn detimed(report: &SuiteReport) -> SuiteReport {
                 p.seconds = 0.0;
             }
         }
-    }
-    if let Some(s) = &mut r.serving {
-        s.seconds = 0.0;
     }
     r
 }
@@ -93,11 +88,6 @@ fn suite_covers_all_pipelines_and_families() {
         .map(|(_, v)| *v)
         .sum();
     assert!(exact > 0, "division family routed no factor to an exact evaluator");
-    let serving = report.serving.as_ref().expect("serving pass enabled");
-    assert_eq!(
-        serving.queries,
-        2 * report.families.iter().map(|f| f.queries.len() as u64).sum::<u64>()
-    );
 }
 
 #[test]
@@ -116,5 +106,4 @@ fn checked_in_baseline_is_valid_and_pinned() {
     assert_eq!(baseline.pipelines(), vec!["seq", "batch", "rewrite"]);
     assert!(baseline.epsilons.len() >= 2, "CI gate needs ≥ 2 ε values");
     assert!(baseline.families.len() >= 2, "CI gate needs ≥ 2 families");
-    assert!(baseline.serving.is_some(), "baseline must include the serving pass");
 }

@@ -75,9 +75,9 @@ impl CacheStats {
     }
 
     /// The counters as stable `(name, value)` pairs, in declaration
-    /// order — the machine-readable export the bench suite serializes
-    /// into `BENCH_*.json`. Names are part of the JSON schema: renaming
-    /// one is a baseline-breaking change.
+    /// order — the machine-readable export behind the `/metrics`
+    /// `qarith_nucache` block. Names are part of the export schema:
+    /// renaming one breaks scrapers.
     pub fn as_pairs(&self) -> [(&'static str, u64); 3] {
         [
             ("hits", self.hits as u64),

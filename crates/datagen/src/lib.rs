@@ -28,6 +28,4 @@ pub mod sales;
 pub mod workload;
 
 pub use generator::{ColumnGen, ColumnSpec, Generator, TableSpec};
-pub use workload::{
-    database_digest, QueryFamily, Workload, WorkloadQuery, WorkloadScale, WorkloadSpec,
-};
+pub use workload::{QueryFamily, Workload, WorkloadQuery, WorkloadScale, WorkloadSpec};

@@ -201,10 +201,10 @@ mod tests {
     fn digest_changes_with_every_batch() {
         let mut db = sales_database(&SalesScale::tiny(), 2020);
         let stream = sales_mutations(&db, 7, SHAPE);
-        let mut digests = vec![crate::database_digest(&db)];
+        let mut digests = vec![qarith_types::database_digest(&db)];
         for batch in &stream {
             db.apply_batch(batch).expect("applies");
-            digests.push(crate::database_digest(&db));
+            digests.push(qarith_types::database_digest(&db));
         }
         digests.sort_unstable();
         digests.dedup();

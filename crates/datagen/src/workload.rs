@@ -25,7 +25,7 @@
 //!
 //! Determinism contract: for a fixed spec, the generated database has
 //! exactly [`WorkloadSpec::expected_tuples`] tuples and a reproducible
-//! [`database_digest`] — independent of the thread, process, or host
+//! [`qarith_types::database_digest`] — independent of the thread, process, or host
 //! that generates it. CI's perf baseline (see `crates/bench`) leans on
 //! this: certainty values can be compared bit-for-bit across runs.
 
@@ -247,25 +247,6 @@ pub struct Workload {
     pub queries: Vec<WorkloadQuery>,
 }
 
-/// A stable 64-bit digest of a database's full contents (relation names,
-/// schemas, and every tuple in insertion order), via FNV-1a over the
-/// display forms. Independent of process, thread, and host — used by the
-/// determinism tests and the CI perf baseline to pin generated data.
-pub fn database_digest(db: &Database) -> u64 {
-    let mut h = qarith_numeric::Fnv1a64::new();
-    for rel in db.relations() {
-        h.update(rel.schema().name().as_bytes());
-        h.update(b"|");
-        for col in rel.schema().columns() {
-            h.update(format!("{}:{:?};", col.name(), col.sort()).as_bytes());
-        }
-        for t in rel.tuples() {
-            h.update(format!("{t}\n").as_bytes());
-        }
-    }
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,6 +298,7 @@ mod tests {
 
     #[test]
     fn digest_is_seed_sensitive() {
+        use qarith_types::database_digest;
         let scale = WorkloadScale::Tiny.params();
         let a = database_digest(&sales_database(&scale, 1));
         let b = database_digest(&sales_database(&scale, 1));

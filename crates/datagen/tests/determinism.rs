@@ -8,7 +8,8 @@
 use std::thread;
 
 use qarith_datagen::sales::sales_database;
-use qarith_datagen::{database_digest, QueryFamily, WorkloadScale, WorkloadSpec};
+use qarith_datagen::{QueryFamily, WorkloadScale, WorkloadSpec};
+use qarith_types::database_digest;
 
 /// The seed every pinned digest below uses (the bench suite's default).
 const SEED: u64 = 2020;

@@ -44,7 +44,9 @@
 //! 2. connections idle between requests answer `err kind=shutdown`
 //!    and close; a connection mid-request finishes that request and
 //!    its reply first (pipelined frames behind it are abandoned — the
-//!    client sees EOF and re-issues elsewhere);
+//!    client sees EOF and re-issues elsewhere). A request is under way
+//!    once its first byte is in the socket buffer, even if the
+//!    connection thread has not read it yet;
 //! 3. wait (on the connection registry's condvar) until the active
 //!    count reaches zero or the caller's deadline expires;
 //! 4. past the deadline, set `force` — every tick-sliced wait aborts
@@ -411,7 +413,9 @@ enum FillEnd {
 /// and the drain flags. With `idle_interruptible`, the read also
 /// aborts as `Draining` while *no* byte has arrived yet and the server
 /// is draining — that is the "idle between requests" drain point; once
-/// a request has started flowing it is allowed to finish.
+/// a request has started flowing it is allowed to finish. A request
+/// has started once its first byte reached this socket, read or not
+/// ([`bytes_pending`]): the client committed to it before the drain.
 fn fill(
     shared: &Shared,
     stream: &mut TcpStream,
@@ -424,7 +428,11 @@ fn fill(
         if shared.force.load(Ordering::Acquire) {
             return FillEnd::Draining;
         }
-        if idle_interruptible && filled == 0 && shared.draining.load(Ordering::Acquire) {
+        if idle_interruptible
+            && filled == 0
+            && shared.draining.load(Ordering::Acquire)
+            && !bytes_pending(stream)
+        {
             return FillEnd::Draining;
         }
         let Some(rest) = buf.get_mut(filled..) else { return FillEnd::Full };
@@ -445,6 +453,21 @@ fn fill(
             Err(_) => return FillEnd::Error,
         }
     }
+}
+
+/// Whether the peer has sent bytes this connection has not read yet.
+/// A nonblocking peek, run only at the drain point: a connection thread
+/// that has not yet read a header already in its socket buffer is
+/// mid-request, not idle. Any failure reads as "nothing pending".
+fn bytes_pending(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return false;
+    }
+    let pending = matches!(stream.peek(&mut [0u8; 1]), Ok(n) if n > 0);
+    // Back to the tick-sliced blocking regime; if that fails, reads
+    // would spin instead of waiting, so treat the connection as idle
+    // and let the drain close it.
+    stream.set_nonblocking(false).is_ok() && pending
 }
 
 /// Writes all of `bytes` in tick slices under the configured write

@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use qarith_types::Database;
+use qarith_types::{database_digest, Database};
 
 /// One published epoch: an immutable database plus its identity.
 #[derive(Clone, Debug)]
@@ -89,27 +89,6 @@ pub struct WriteOutcome {
     /// Cached plans dropped because they depended on a touched
     /// relation.
     pub plans_invalidated: u64,
-}
-
-/// A stable 64-bit digest of a database's full contents (relation
-/// names, schemas, and every tuple in insertion order), via FNV-1a over
-/// the display forms. Bit-for-bit the same function as
-/// `qarith_datagen::database_digest` — re-implemented here so the
-/// serving layer does not depend on the data generator; a cross-crate
-/// test pins the two together.
-pub fn database_digest(db: &Database) -> u64 {
-    let mut h = qarith_numeric::Fnv1a64::new();
-    for rel in db.relations() {
-        h.update(rel.schema().name().as_bytes());
-        h.update(b"|");
-        for col in rel.schema().columns() {
-            h.update(format!("{}:{:?};", col.name(), col.sort()).as_bytes());
-        }
-        for t in rel.tuples() {
-            h.update(format!("{t}\n").as_bytes());
-        }
-    }
-    h.finish()
 }
 
 #[cfg(test)]

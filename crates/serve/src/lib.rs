@@ -83,7 +83,10 @@ pub mod service;
 pub mod shard;
 
 pub use admission::{AdmissionGate, AdmissionPermit, AdmissionStats};
-pub use epoch::{database_digest, Snapshot, WriteOutcome};
+pub use epoch::{Snapshot, WriteOutcome};
 pub use error::ServeError;
+/// The snapshot digest ([`Snapshot::digest`]), re-exported where
+/// serving callers have always found it.
+pub use qarith_types::database_digest;
 pub use service::{QueryResponse, QueryService, ServeConfig, ServiceStats};
 pub use shard::{ShardedCacheConfig, ShardedCacheStats, ShardedNuCache};

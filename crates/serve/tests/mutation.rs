@@ -9,11 +9,7 @@
 //! * invalidation selectivity — a targeted single-tuple write on the
 //!   medium sales database drops exactly the ν-cache keys grounded
 //!   against the touched relation, leaves survivors resident (counter-
-//!   asserted), and the survivors still *hit* with unchanged bits;
-//! * digest cross-pin — `qarith_serve::database_digest` and
-//!   `qarith_datagen::database_digest` are bit-for-bit the same
-//!   function (the serving layer re-implements it to avoid the
-//!   dependency; this test is the license for that duplication).
+//!   asserted), and the survivors still *hit* with unchanged bits.
 
 use proptest::prelude::*;
 use qarith_core::afpras::{AfprasOptions, SampleCount};
@@ -63,22 +59,6 @@ fn response_fingerprint(r: &QueryResponse) -> Vec<(String, u64, usize, usize)> {
             )
         })
         .collect()
-}
-
-// ---------------------------------------------------------------------
-// Satellite: serve/datagen digest cross-pin.
-// ---------------------------------------------------------------------
-
-#[test]
-fn serve_digest_is_bit_identical_to_datagen_digest() {
-    for seed in [1u64, 2020, 0xF00D] {
-        let db = qarith_datagen::sales::sales_database(&WorkloadScale::Tiny.params(), seed);
-        assert_eq!(
-            database_digest(&db),
-            qarith_datagen::database_digest(&db),
-            "seed {seed}: the two digest implementations diverged"
-        );
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -193,6 +193,27 @@ impl Database {
     }
 }
 
+/// A stable 64-bit digest of a database's full contents (relation
+/// names, schemas, and every tuple in insertion order), via FNV-1a over
+/// the display forms. Independent of process, thread, and host — the
+/// data generator's determinism tests, the bench baselines' `db.digest`
+/// pins, and the serving layer's per-epoch snapshot identity all use
+/// this one function.
+pub fn database_digest(db: &Database) -> u64 {
+    let mut h = qarith_numeric::Fnv1a64::new();
+    for rel in db.relations() {
+        h.update(rel.schema().name().as_bytes());
+        h.update(b"|");
+        for col in rel.schema().columns() {
+            h.update(format!("{}:{:?};", col.name(), col.sort()).as_bytes());
+        }
+        for t in rel.tuples() {
+            h.update(format!("{t}\n").as_bytes());
+        }
+    }
+    h.finish()
+}
+
 impl fmt::Debug for Database {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = self.stats();

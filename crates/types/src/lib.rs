@@ -21,7 +21,7 @@
 //! * [`Value`], [`BaseValue`] — cell values of either sort, possibly null;
 //! * [`Sort`], [`Column`], [`RelationSchema`], [`Catalog`] — typed schemas;
 //! * [`Tuple`], [`Relation`], [`Database`] — data, with type checking on
-//!   insertion;
+//!   insertion, and [`database_digest`], its content digest;
 //! * [`Valuation`] — interpretations of nulls; applying a valuation yields
 //!   the complete database `v(D)`;
 //! * [`Database::bijective_base_valuation`] — the "nulls as fresh
@@ -42,7 +42,7 @@ mod valuation;
 mod value;
 mod write;
 
-pub use database::{Database, DatabaseStats};
+pub use database::{database_digest, Database, DatabaseStats};
 pub use error::TypeError;
 pub use relation::Relation;
 pub use schema::{Catalog, Column, RelationSchema, Sort};
