@@ -21,7 +21,10 @@
 //!   `panic!`/indexing in the serve request path;
 //! * **trace flow** ([`lints::trace`]) — bit-pinned modules must not
 //!   read timing back out of the tracer; observability data never
-//!   flows into measurement inputs.
+//!   flows into measurement inputs;
+//! * **stale scopes** ([`stale_scopes`]) — every path the policy names
+//!   must match a scanned file, so moving a module cannot silently drop
+//!   it out of the lints above.
 //!
 //! Policy (which paths are bit-pinned, the lock hierarchy, the request
 //! path) lives in the checked-in [`analyze.toml`](crate::config);
@@ -153,18 +156,66 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
+/// `file` relative to `root`, `/`-separated.
+fn rel_path(root: &Path, file: &Path) -> String {
+    file.strip_prefix(root).unwrap_or(file).to_string_lossy().replace('\\', "/")
+}
+
 /// Analyzes a list of files on disk against `config`, reporting paths
 /// relative to `root`.
 pub fn analyze_files(root: &Path, files: &[PathBuf], config: &Config) -> io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
     for file in files {
-        let rel = file.strip_prefix(root).unwrap_or(file);
-        let rel = rel.to_string_lossy().replace('\\', "/");
         let source = std::fs::read_to_string(file)?;
-        findings.extend(analyze_source(&rel, &source, config));
+        findings.extend(analyze_source(&rel_path(root, file), &source, config));
     }
     findings::sort(&mut findings);
     Ok(findings)
+}
+
+/// Policy path entries (`bit_pinned`, `clock_allowed`, `request_path`)
+/// that match none of `files` — one `stale-scope` finding each, filed
+/// against `analyze.toml`. An entry that covers nothing means its lints
+/// silently stopped covering code (a module moved and the policy still
+/// names the old path), so it is a violation like any other. Only
+/// meaningful over the complete file set: a run over an explicit
+/// subset leaves most entries empty by design.
+pub fn stale_scopes(root: &Path, files: &[PathBuf], config: &Config) -> Vec<Finding> {
+    let scanned: Vec<String> = files.iter().map(|f| rel_path(root, f)).collect();
+    let keys = [
+        ("[determinism] bit_pinned", &config.bit_pinned),
+        ("[determinism] clock_allowed", &config.clock_allowed),
+        ("[panic] request_path", &config.request_path),
+    ];
+    let mut findings = Vec::new();
+    for (key, entries) in keys {
+        for entry in entries {
+            let scope = std::slice::from_ref(entry);
+            if !scanned.iter().any(|file| in_scope(file, scope)) {
+                findings.push(Finding {
+                    lint: "stale-scope",
+                    file: "analyze.toml".to_string(),
+                    line: 1,
+                    message: format!(
+                        "{key} entry `{entry}` matches no scanned file; point it at the code \
+                         it is meant to cover or delete it"
+                    ),
+                });
+            }
+        }
+    }
+    findings
+}
+
+/// The full-workspace run behind the CI gate: every
+/// [`workspace_files`] file analyzed, plus [`stale_scopes`] over that
+/// same set. Returns the number of files scanned and the findings.
+pub fn analyze_workspace(root: &Path, config: &Config) -> io::Result<(usize, Vec<Finding>)> {
+    let files = workspace_files(root)?;
+    let mut findings = analyze_files(root, &files, config)?;
+    findings.extend(stale_scopes(root, &files, config));
+    findings::sort(&mut findings);
+    Ok((files.len(), findings))
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //!
 //! `analyze.toml` declares the workspace's lock classes in outermost-
 //! first order (`AdmissionGate → PlanCache → ShardedNuCache shard →
-//! NuCache map`). Within one function body, this pass tracks which
+//! SlowLog ring`, among others). Within one function body, this pass tracks which
 //! guards are held and flags:
 //!
 //! * **`lock-order`** — acquiring a guard whose class rank is ≤ the

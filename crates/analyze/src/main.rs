@@ -5,7 +5,8 @@
 //! ```
 //!
 //! With no positional files, walks every `crates/*/src` and `src/`
-//! file under the workspace root. Findings print as `file:line:
+//! file under the workspace root and also reports policy paths that
+//! match none of them (`stale-scope`). Findings print as `file:line:
 //! [lint] message` diagnostics; `--json` additionally writes the
 //! machine-readable document CI uploads as an artifact. `--deny-all`
 //! (the CI mode) exits non-zero when any finding remains after pragma
@@ -14,7 +15,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use qarith_analyze::{analyze_files, config, findings, workspace_files};
+use qarith_analyze::{analyze_files, analyze_workspace, config, findings};
 
 struct Args {
     root: PathBuf,
@@ -67,20 +68,23 @@ fn run() -> Result<usize, String> {
         .map_err(|e| format!("reading {}: {e}", config_path.display()))?;
     let config = config::parse(&config_text).map_err(|e| e.to_string())?;
 
-    let files = if args.files.is_empty() {
-        workspace_files(&args.root).map_err(|e| format!("walking {}: {e}", args.root.display()))?
+    // The whole workspace also checks the policy's paths against what
+    // the walk found; an explicit file list is a subset, so it cannot.
+    let (file_count, found) = if args.files.is_empty() {
+        analyze_workspace(&args.root, &config)
+            .map_err(|e| format!("analyzing {}: {e}", args.root.display()))?
     } else {
-        args.files.clone()
+        let found = analyze_files(&args.root, &args.files, &config)
+            .map_err(|e| format!("analyzing: {e}"))?;
+        (args.files.len(), found)
     };
-    let found =
-        analyze_files(&args.root, &files, &config).map_err(|e| format!("analyzing: {e}"))?;
 
     for finding in &found {
         println!("{}", finding.render());
     }
     println!(
         "qarith-analyze: {} file(s), {} finding(s){}",
-        files.len(),
+        file_count,
         found.len(),
         if args.deny_all { " [deny-all]" } else { "" }
     );

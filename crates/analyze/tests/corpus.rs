@@ -8,12 +8,13 @@
 //!
 //! The CLI is exercised too: `--deny-all` must exit non-zero on every
 //! seeded-bad fixture and zero on the clean ones — the exact contract
-//! the CI gate relies on.
+//! the CI gate relies on. Policy paths that match no fixture are
+//! `stale-scope` findings.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use qarith_analyze::{analyze_files, config, Config};
+use qarith_analyze::{analyze_files, config, stale_scopes, Config};
 
 fn corpus_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus")
@@ -77,6 +78,46 @@ fn clean_fixtures_produce_no_findings() {
         let found = analyze_files(&root, &[root.join(fixture)], &cfg).expect("fixture readable");
         assert!(found.is_empty(), "{fixture}: {found:?}");
     }
+}
+
+#[test]
+fn policy_paths_that_match_no_file_are_stale_scope_findings() {
+    let root = corpus_root();
+    let fixtures: Vec<PathBuf> = SEEDED_BAD
+        .iter()
+        .map(|(fixture, _)| *fixture)
+        .chain(CLEAN)
+        .chain(["locks/lock_reentry.rs", "pragma/malformed.rs"])
+        .map(|fixture| root.join(fixture))
+        .collect();
+    assert!(stale_scopes(&root, &fixtures, &corpus_config()).is_empty());
+
+    // A module moved away from a request-path entry, and a bit-pinned
+    // directory that no longer exists: both must be reported, even
+    // though every file still analyzes clean.
+    let text = std::fs::read_to_string(root.join("analyze.toml"))
+        .expect("corpus analyze.toml")
+        .replace(
+            r#"request_path = ["request"]"#,
+            r#"request_path = ["request", "request/shard.rs"]"#,
+        )
+        .replace(r#"bit_pinned = ["pinned"]"#, r#"bit_pinned = ["pinned", "gone"]"#);
+    let stale = stale_scopes(&root, &fixtures, &config::parse(&text).expect("parses"));
+    let messages: Vec<&str> = stale.iter().map(|f| f.message.as_str()).collect();
+    assert_eq!(stale.len(), 2, "{messages:?}");
+    assert!(stale.iter().all(|f| f.lint == "stale-scope" && f.file == "analyze.toml"));
+    assert!(messages[0].contains("bit_pinned entry `gone`"), "{messages:?}");
+    assert!(messages[1].contains("request_path entry `request/shard.rs`"), "{messages:?}");
+}
+
+#[test]
+fn deny_all_workspace_walk_fails_on_stale_scopes() {
+    // The corpus root has no `src/` or `crates/*/src` tree, so the
+    // walk scans nothing and every policy path is stale.
+    let out = run_cli(&[], true);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("analyze.toml:1: [stale-scope]"), "{stdout}");
 }
 
 fn run_cli(files: &[&str], deny_all: bool) -> std::process::Output {

@@ -1,21 +1,21 @@
 //! The self-run gate, as a plain test: the analyzer over the real
-//! workspace with the real checked-in policy must report zero findings.
+//! workspace with the real checked-in policy must report zero findings
+//! (stale policy paths included).
 //! This is the same run CI's `analyze` job performs with `--deny-all`;
 //! having it in `cargo test` means a violation fails tier-1 locally
 //! before CI ever sees it.
 
 use std::path::Path;
 
-use qarith_analyze::{analyze_files, config, workspace_files};
+use qarith_analyze::{analyze_workspace, config};
 
 #[test]
 fn workspace_is_clean_under_the_checked_in_policy() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let text = std::fs::read_to_string(root.join("analyze.toml")).expect("checked-in analyze.toml");
     let cfg = config::parse(&text).expect("checked-in analyze.toml parses");
-    let files = workspace_files(&root).expect("workspace walk");
-    assert!(files.len() > 50, "walk found {} files — scope regressed?", files.len());
-    let found = analyze_files(&root, &files, &cfg).expect("workspace readable");
+    let (files, found) = analyze_workspace(&root, &cfg).expect("workspace readable");
+    assert!(files > 50, "walk found {files} files — scope regressed?");
     assert!(
         found.is_empty(),
         "the workspace must stay clean under analyze.toml; fix the code or add a reviewed \

@@ -35,7 +35,7 @@ use std::io::Write;
 use std::sync::Arc;
 
 use qarith_bench::{figure1_epsilons, secs, BatchPoint, Fig1Harness};
-use qarith_core::{BatchOptions, NuCache, RewriteStats};
+use qarith_core::{BatchOptions, RewriteStats, ShardedNuCache};
 use qarith_datagen::sales::SalesScale;
 
 /// The batch configuration `--batch` and `--rewrite` exercise.
@@ -121,8 +121,8 @@ fn main() {
          rewrite_dim_after\n",
     );
     let epsilons = figure1_epsilons();
-    let cache = Arc::new(NuCache::new());
-    let rw_cache = Arc::new(NuCache::new());
+    let cache = Arc::new(ShardedNuCache::default());
+    let rw_cache = Arc::new(ShardedNuCache::default());
 
     for (qi, q) in harness.queries.iter().enumerate() {
         println!("Query: {}", q.name);
@@ -329,7 +329,7 @@ fn main() {
         // Cold workload-level comparison at the acceptance ε: fresh
         // caches for both configurations, all three queries back to back.
         let batch_start = std::time::Instant::now();
-        let cold = Arc::new(NuCache::new());
+        let cold = Arc::new(ShardedNuCache::default());
         for qi in 0..harness.queries.len() {
             harness.run_epsilon_batch(
                 qi,
@@ -341,7 +341,7 @@ fn main() {
         }
         let batch_time = secs(batch_start.elapsed());
         let rw_start = std::time::Instant::now();
-        let cold_rw = Arc::new(NuCache::new());
+        let cold_rw = Arc::new(ShardedNuCache::default());
         for qi in 0..harness.queries.len() {
             harness.run_epsilon_rewritten(
                 qi,

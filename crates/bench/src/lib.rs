@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use qarith_core::afpras::{estimate_nu_compiled_many, AfprasOptions, SampleCount};
 use qarith_core::{
     BatchOptions, BatchStats, CertaintyEngine, CertaintyEstimate, MeasureOptions, MethodChoice,
-    NuCache, RewriteOptions,
+    RewriteOptions, ShardedNuCache,
 };
 use qarith_datagen::sales::SalesScale;
 use qarith_datagen::QueryFamily;
@@ -218,7 +218,7 @@ impl Fig1Harness {
         epsilon: f64,
         seed: u64,
         batch: BatchOptions,
-        cache: Option<Arc<NuCache>>,
+        cache: Option<Arc<ShardedNuCache>>,
     ) -> BatchPoint {
         self.run_engine(Fig1Harness::paper_engine(epsilon, seed, batch), query_idx, epsilon, cache)
     }
@@ -235,7 +235,7 @@ impl Fig1Harness {
         epsilon: f64,
         seed: u64,
         batch: BatchOptions,
-        cache: Option<Arc<NuCache>>,
+        cache: Option<Arc<ShardedNuCache>>,
     ) -> BatchPoint {
         let mut engine = Fig1Harness::paper_engine(epsilon, seed, batch);
         let options = engine.options().clone().with_rewrite(RewriteOptions::full());
@@ -248,10 +248,10 @@ impl Fig1Harness {
         mut engine: CertaintyEngine,
         query_idx: usize,
         epsilon: f64,
-        cache: Option<Arc<NuCache>>,
+        cache: Option<Arc<ShardedNuCache>>,
     ) -> BatchPoint {
         if let Some(cache) = cache {
-            engine = engine.with_cache(cache);
+            engine = engine.with_shared_cache(cache);
         }
         let candidates = self.queries[query_idx].candidates.clone();
         let started = Instant::now();
@@ -325,7 +325,7 @@ mod tests {
                 0.1,
                 7,
                 BatchOptions { threads: 4, dedup: true },
-                Some(Arc::new(NuCache::new())),
+                Some(Arc::new(ShardedNuCache::default())),
             );
             assert_eq!(sequential.estimates.len(), batch.estimates.len());
             for (s, b) in sequential.estimates.iter().zip(&batch.estimates) {

@@ -31,7 +31,7 @@
 
 use std::sync::Arc;
 
-use qarith_core::{BatchOptions, BatchStats, NuCache};
+use qarith_core::{BatchOptions, BatchStats, ShardedNuCache};
 use qarith_datagen::{QueryFamily, WorkloadScale, WorkloadSpec};
 use qarith_types::database_digest;
 
@@ -233,7 +233,12 @@ pub fn run_suite(config: &SuiteConfig) -> SuiteReport {
         let spec = WorkloadSpec { scale: config.scale, family, seed: config.seed };
         let workload = qarith_datagen::Workload { spec, db: db.clone(), queries: family.queries() };
         let harness = Fig1Harness::from_workload(workload);
-        harnesses.push((family, harness, Arc::new(NuCache::new()), Arc::new(NuCache::new())));
+        harnesses.push((
+            family,
+            harness,
+            Arc::new(ShardedNuCache::default()),
+            Arc::new(ShardedNuCache::default()),
+        ));
     }
 
     for (family, harness, batch_cache, rewrite_cache) in &harnesses {
@@ -263,7 +268,7 @@ pub fn run_suite(config: &SuiteConfig) -> SuiteReport {
                         eps,
                         sample_seed,
                         config.batch(),
-                        Some(Arc::new(NuCache::new())),
+                        Some(Arc::new(ShardedNuCache::default())),
                     );
                     batch_secs = batch_secs.min(secs(cold.time));
                     let cold_rw = harness.run_epsilon_rewritten(
@@ -271,7 +276,7 @@ pub fn run_suite(config: &SuiteConfig) -> SuiteReport {
                         eps,
                         sample_seed,
                         config.batch(),
-                        Some(Arc::new(NuCache::new())),
+                        Some(Arc::new(ShardedNuCache::default())),
                     );
                     rewrite_secs = rewrite_secs.min(secs(cold_rw.time));
                 }

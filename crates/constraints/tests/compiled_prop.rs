@@ -85,10 +85,7 @@ proptest! {
         f in formula(),
         raw_dir in prop::collection::vec(-2.0f64..2.0, 3),
     ) {
-        // The deprecated shim is exercised deliberately: its frozen
-        // behavior is what qarith_rewrite::ae_simplify must reproduce.
-        #[allow(deprecated)]
-        let g = f.ae_simplified();
+        let g = qarith_rewrite::ae_simplify(&f);
         let orig = formula_limit_truth(&f, &raw_dir);
         let simp = formula_limit_truth(&g, &raw_dir);
         if orig != simp {

@@ -75,7 +75,9 @@
 //!   selection and the batch measurement path (canonical dedup +
 //!   parallel fan-out, [`CertaintyEngine::measure_batch`]);
 //! * [`nucache`] — the ν-cache: memoized, bit-identical measures keyed
-//!   by canonical formula and options fingerprint;
+//!   by canonical formula and options fingerprint, in a bounded,
+//!   sharded, LRU-evicting table ([`ShardedNuCache`]) that the
+//!   single-shot routes and `qarith-serve` share;
 //! * [`decompose`] — the rewrite pipeline's executor
 //!   (`MeasureOptions::rewrite`): `qarith-rewrite` simplifies and
 //!   splits formulas into variable-disjoint factors, whose asymptotic
@@ -110,7 +112,7 @@ pub use decompose::RewriteStats;
 pub use error::MeasureError;
 pub use estimate::{CertaintyEstimate, Method};
 pub use fpras::FprasOptions;
-pub use nucache::{CacheStats, CertaintyCache, NuCache};
+pub use nucache::{CertaintyCache, ShardedCacheConfig, ShardedCacheStats, ShardedNuCache};
 pub use pipeline::{
     AnswerWithCertainty, BatchOptions, BatchOutcome, BatchPlan, BatchStats, CertaintyEngine,
     MeasureOptions, MethodChoice,

@@ -36,7 +36,7 @@ use crate::error::MeasureError;
 use crate::estimate::{CertaintyEstimate, Method};
 use crate::exact::{exact_applicable, try_exact};
 use crate::fpras::{fpras_estimate, FprasOptions};
-use crate::nucache::{CertaintyCache, NuCache};
+use crate::nucache::CertaintyCache;
 use crate::zero_one::zero_one_measure;
 
 /// Which measure algorithm to use.
@@ -139,7 +139,7 @@ impl MeasureOptions {
     /// estimate — the method choice, tolerances, seeds, thread counts,
     /// and budgets of both schemes. Two engines with equal fingerprints
     /// produce bit-identical estimates for the same formula, which is
-    /// what keys the [`NuCache`].
+    /// what keys the ν-cache ([`crate::nucache`]).
     pub fn fingerprint(&self) -> u64 {
         let mut h = DefaultHasher::new();
         (self.method as u8).hash(&mut h);
@@ -208,7 +208,7 @@ pub struct BatchStats {
     /// Candidates served by in-batch deduplication (a group member after
     /// the first).
     pub dedup_hits: usize,
-    /// Groups served by the engine's persistent [`NuCache`].
+    /// Groups served by the engine's persistent ν-cache.
     pub cache_hits: usize,
     /// Worker threads used.
     pub threads: usize,
@@ -364,25 +364,14 @@ impl CertaintyEngine {
         )
     }
 
-    /// Attaches a persistent ν-cache, shared across batches (and across
-    /// engine clones). Cached values are bit-identical to fresh runs —
-    /// see [`crate::nucache`].
-    pub fn with_cache(mut self, cache: Arc<NuCache>) -> CertaintyEngine {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Attaches any [`CertaintyCache`] implementation — the hook
-    /// `qarith-serve` uses to substitute its bounded, sharded cache for
-    /// the unbounded [`NuCache`] on the serving path.
+    /// Attaches a persistent ν-cache (a
+    /// [`ShardedNuCache`](crate::ShardedNuCache) behind an `Arc`),
+    /// shared across batches, engine clones, and — in `qarith-serve` —
+    /// the write path's invalidation. Cached values are bit-identical to
+    /// fresh runs; see [`crate::nucache`].
     pub fn with_shared_cache(mut self, cache: Arc<dyn CertaintyCache>) -> CertaintyEngine {
         self.cache = Some(cache);
         self
-    }
-
-    /// The attached ν-cache, if any.
-    pub fn cache(&self) -> Option<&dyn CertaintyCache> {
-        self.cache.as_deref()
     }
 
     /// The configured options.
@@ -398,9 +387,8 @@ impl CertaintyEngine {
     /// ([`crate::decompose::measure_rewritten`]): simplification,
     /// independence decomposition, exact routing per factor, product
     /// combination. Otherwise `Auto` and `ExactOnly` first apply the
-    /// measure-preserving a.e. simplification (the frozen
-    /// `ae_simplified` behavior, now served by
-    /// [`qarith_rewrite::ae_simplify`]), which strips measure-zero
+    /// measure-preserving a.e. simplification
+    /// ([`qarith_rewrite::ae_simplify`]), which strips measure-zero
     /// equality branches (ground formulas are full of them) and often
     /// unlocks an exact evaluator; `Afpras`/`Fpras` run on the formula
     /// as given — they exist to benchmark the paper's algorithms
@@ -662,7 +650,7 @@ impl CertaintyEngine {
     ///
     /// 1. every uncertain candidate's ground formula is canonicalized
     ///    (`qarith_constraints::canonical`) and grouped by cache key;
-    /// 2. groups found in the engine's [`NuCache`] are served directly;
+    /// 2. groups found in the engine's ν-cache are served directly;
     /// 3. the remaining unique formulas are measured concurrently by
     ///    [`BatchOptions::threads`] scoped workers, each running the
     ///    engine's configured method — one `CompiledFormula` per unique
@@ -698,30 +686,6 @@ impl CertaintyEngine {
     /// [`BatchPlan`] contains no measurements — execute it with
     /// [`CertaintyEngine::execute_plan`], as often as needed.
     pub fn prepare_batch(&self, candidates: Vec<CandidateAnswer>) -> BatchPlan {
-        self.prepare_batch_traced(candidates, None)
-    }
-
-    /// [`CertaintyEngine::prepare_batch`] with an optional stage sink:
-    /// when `sink` is given, the elapsed preparation time is recorded
-    /// under [`Stage::Prepare`]. Timing is **observational only** — the
-    /// duration flows into the sink and nowhere else, so the returned
-    /// plan is bit-identical with or without a sink (the sink is not
-    /// consulted, only written).
-    pub fn prepare_batch_traced(
-        &self,
-        candidates: Vec<CandidateAnswer>,
-        sink: Option<&mut (dyn StageSink + '_)>,
-    ) -> BatchPlan {
-        // analyze: allow(nondet-source, reason = "observational span timing: the instant flows only into the StageSink, never into plan or measurement state; read-back from pinned code is barred by the trace-flow lint")
-        let begun = sink.is_some().then(std::time::Instant::now);
-        let plan = self.prepare_batch_inner(candidates);
-        if let (Some(sink), Some(begun)) = (sink, begun) {
-            sink.record_stage(Stage::Prepare, observed_nanos(begun));
-        }
-        plan
-    }
-
-    fn prepare_batch_inner(&self, candidates: Vec<CandidateAnswer>) -> BatchPlan {
         // Groups: the work to measure (the structural canonical form
         // when dedup is on — bit-identical to the member formulas — or
         // the original formula verbatim when dedup is off; with
@@ -1274,12 +1238,12 @@ mod tests {
     #[test]
     fn nu_cache_serves_across_batches() {
         let (a, b) = renamed_pair();
-        let cache = std::sync::Arc::new(NuCache::new());
+        let cache = std::sync::Arc::new(crate::ShardedNuCache::default());
         let engine = CertaintyEngine::new(MeasureOptions {
             method: MethodChoice::Afpras,
             ..MeasureOptions::default()
         })
-        .with_cache(cache.clone());
+        .with_shared_cache(cache.clone());
 
         let first = engine.measure_batch(vec![a.clone()]).unwrap();
         assert_eq!(first.stats.cache_hits, 0);
@@ -1298,7 +1262,7 @@ mod tests {
             MeasureOptions { method: MethodChoice::Afpras, ..MeasureOptions::default() }
                 .with_epsilon(0.03),
         )
-        .with_cache(cache.clone());
+        .with_shared_cache(cache.clone());
         let third = other.measure_batch(vec![a]).unwrap();
         assert_eq!(third.stats.cache_hits, 0);
         assert_eq!(cache.stats().entries, 2);

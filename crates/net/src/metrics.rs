@@ -9,20 +9,10 @@
 //! |-------------------------|-------------------------------------------|
 //! | `qarith_batch_`         | running [`BatchStats`] sums of every executed request |
 //! | `qarith_rewrite_`       | the nested [`RewriteStats`] sums          |
-//! | `qarith_nucache_`       | the single-shot [`CacheStats`] block — structurally 0 here (see below) |
-//! | `qarith_sharded_cache_` | the serving ν-cache ([`ShardedCacheStats`]) |
+//! | `qarith_sharded_cache_` | the ν-cache ([`ShardedCacheStats`])       |
 //! | `qarith_service_`       | plan cache + request accounting ([`ServiceStats`]) |
 //! | `qarith_admission_`     | the gate ([`AdmissionStats`]), including the `in_flight` gauge |
 //! | `qarith_net_`           | the wire layer ([`NetStats`])             |
-//!
-//! **Why `qarith_nucache_*` is always 0 on this endpoint.** The
-//! unbounded single-lock `NuCache` serves only the single-shot
-//! library/CLI routes, where its bit-pinned behavior is part of the
-//! determinism contract; the serving path replaced it with the bounded
-//! sharded cache. The block is exported anyway — zeroed, by
-//! construction — so one scrape config covers every counter in the
-//! workspace table and a dashboard can tell "zero because unused" from
-//! "missing because the exporter changed".
 //!
 //! Counter vs gauge follows the semantics, not the block: monotone
 //! sums are `counter`; point-in-time levels (`threads`, `entries`,
@@ -43,7 +33,6 @@
 //!
 //! [`BatchStats`]: qarith_core::BatchStats
 //! [`RewriteStats`]: qarith_core::RewriteStats
-//! [`CacheStats`]: qarith_core::CacheStats
 //! [`ShardedCacheStats`]: qarith_serve::ShardedCacheStats
 //! [`ServiceStats`]: qarith_serve::ServiceStats
 //! [`AdmissionStats`]: qarith_serve::AdmissionStats
@@ -81,14 +70,6 @@ pub fn render(service: &QueryService, net: &NetStats) -> String {
         "qarith_rewrite",
         "running RewriteStats sums over every executed request",
         &totals.rewrite.as_pairs(),
-    );
-    // The single-shot NuCache block, zeroed by construction (module
-    // docs): the serving path never touches it.
-    block(
-        &mut out,
-        "qarith_nucache",
-        "single-shot NuCache (unused by the serving path; always 0 here)",
-        &qarith_core::CacheStats::default().as_pairs(),
     );
     block(
         &mut out,
@@ -163,7 +144,7 @@ mod tests {
 
     /// Every name in the exposition is well-formed and typed, and the
     /// block count covers the whole EXPERIMENTS table (7 batch + 6
-    /// rewrite + 3 nucache + 8 sharded + 9 service + 4 admission)
+    /// rewrite + 8 sharded + 9 service + 4 admission)
     /// plus the 7 net counters.
     #[test]
     fn exposition_is_complete_and_well_formed() {
@@ -179,7 +160,7 @@ mod tests {
             .lines()
             .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
             .partition(|l| l.starts_with("qarith_stage_"));
-        assert_eq!(counter_samples.len(), 7 + 6 + 3 + 8 + 9 + 4 + 7, "one sample per counter");
+        assert_eq!(counter_samples.len(), 7 + 6 + 8 + 9 + 4 + 7, "one sample per counter");
         for line in &counter_samples {
             let mut words = line.split_ascii_whitespace();
             let name = words.next().expect("metric name");
@@ -210,7 +191,6 @@ mod tests {
         assert!(text.contains("# TYPE qarith_service_epoch gauge"));
         assert!(text.contains("# TYPE qarith_sharded_cache_invalidations counter"));
         assert!(text.contains("# TYPE qarith_net_frames_in counter"));
-        assert!(text.contains("qarith_nucache_hits 0"));
     }
 
     /// The `le=` label formatter is exact and trim-stable.

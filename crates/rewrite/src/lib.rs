@@ -18,9 +18,8 @@
 //!    (`qarith_constraints::asymptotic::constant_limit_sign`): atoms
 //!    whose limit sign is constant over (almost) all directions collapse
 //!    to `True`/`False`, which the smart constructors absorb through
-//!    `And`/`Or`. The measure-zero equality/disequality elimination of
-//!    the historical `QfFormula::ae_simplified` is the weak special case
-//!    ([`ae_simplify`], bit-identical to the now-deprecated shim).
+//!    `And`/`Or`. The measure-zero equality/disequality elimination
+//!    alone is the weak special case ([`ae_simplify`]).
 //! 2. **Boolean normalization** ([`Rewriter::simplify`], pass `normalize`) —
 //!    flattening (inherited from the smart constructors), child
 //!    deduplication, complement annihilation (`α ∧ ¬α ⇝ false`), and
@@ -147,6 +146,10 @@ impl Rewriter {
 }
 
 #[cfg(test)]
+#[path = "../tests/support/frozen_ae.rs"]
+mod frozen_ae;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use qarith_constraints::{Atom, ConstraintOp, Polynomial, Var};
@@ -252,8 +255,7 @@ mod tests {
             eq.negated(),
             atom(z(2) * z(2) - z(3), ConstraintOp::Le),
         ]);
-        #[allow(deprecated)]
-        let shim = f.ae_simplified();
+        let shim = crate::frozen_ae::frozen_ae_simplified(&f);
         assert_eq!(ae_simplify(&f), shim);
         assert_eq!(Rewriter::new(RewriteOptions::ae_only()).simplify(&f), shim);
     }

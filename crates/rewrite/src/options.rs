@@ -29,9 +29,9 @@ pub enum FactorBudget {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct RewriteOptions {
     /// Master switch. When `false` the engine runs the historical
-    /// pipeline (the frozen `ae_simplified` behavior on the `Auto` and
-    /// `ExactOnly` routes, formulas measured whole) and produces
-    /// bit-identical estimates to releases without this crate.
+    /// pipeline ([`crate::ae_simplify`] on the `Auto` and `ExactOnly`
+    /// routes, formulas measured whole) and produces bit-identical
+    /// estimates to releases without this crate.
     pub enabled: bool,
     /// Pass 1: constant-sign folding of trivially-decidable atoms via
     /// exact ℚ bound propagation. (The measure-zero equality /
@@ -73,8 +73,7 @@ impl RewriteOptions {
     }
 
     /// Only the measure-zero equality/disequality elimination — the
-    /// configuration that reproduces the deprecated
-    /// `QfFormula::ae_simplified` bit for bit.
+    /// configuration that reproduces [`crate::ae_simplify`] bit for bit.
     pub fn ae_only() -> RewriteOptions {
         RewriteOptions {
             enabled: true,

@@ -11,9 +11,9 @@ use qarith_constraints::QfFormula;
 /// it is eventually zero form a null set — see Lemma 8.3 and the module
 /// docs of `qarith_constraints::asymptotic`).
 ///
-/// Bit-identical to the deprecated `QfFormula::ae_simplified`: same
-/// traversal, same smart constructors, so callers migrating from the
-/// shim observe no change at all.
+/// Pinned bit for bit against the frozen oracle in
+/// `tests/support/frozen_ae.rs`: estimates on the unrewritten routes
+/// depend on this exact traversal and these smart constructors.
 pub fn ae_simplify(phi: &QfFormula) -> QfFormula {
     simplify_atoms(&phi.nnf(), false)
 }
@@ -123,11 +123,33 @@ mod tests {
 
     #[test]
     fn ae_simplify_semantics() {
+        // (z0 = z1) ∨ (z0 < 0) ⇝ z0 < 0.
         let eq = atom(z(0) - z(1), ConstraintOp::Eq);
         let f = QfFormula::or([eq.clone(), atom(z(0), ConstraintOp::Lt)]);
         assert_eq!(ae_simplify(&f), atom(z(0), ConstraintOp::Lt));
+        // Negated equality becomes ≠, i.e. almost-everywhere true.
+        let f = QfFormula::and([eq.clone().negated(), atom(z(0), ConstraintOp::Lt)]);
+        assert_eq!(ae_simplify(&f), atom(z(0), ConstraintOp::Lt));
+        // A bare equality collapses to false; a bare disequality to true.
         assert_eq!(ae_simplify(&eq), QfFormula::False);
         assert_eq!(ae_simplify(&eq.negated()), QfFormula::True);
+    }
+
+    #[test]
+    fn ae_simplify_keeps_inequalities_intact() {
+        let f = QfFormula::and([
+            atom(z(0) + z(1), ConstraintOp::Lt),
+            atom(z(1) * z(1), ConstraintOp::Gt),
+        ]);
+        assert_eq!(ae_simplify(&f), f);
+    }
+
+    #[test]
+    fn ae_simplify_pushes_through_negation() {
+        // ¬(z0 < 0 ∧ z1 = 0) ⇝ (z0 ≥ 0) ∨ (z1 ≠ 0) ⇝ true.
+        let f =
+            QfFormula::and([atom(z(0), ConstraintOp::Lt), atom(z(1), ConstraintOp::Eq)]).negated();
+        assert_eq!(ae_simplify(&f), QfFormula::True);
     }
 
     #[test]

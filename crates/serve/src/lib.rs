@@ -22,12 +22,11 @@
 //!   traffic (however it spells whitespace, keyword case, aliases, or
 //!   literals) skips the whole front half and goes straight to
 //!   per-group ν lookup via [`CertaintyEngine::execute_plan`].
-//! * **A bounded, sharded ν-cache** ([`shard`]) — N independently
-//!   locked shards with per-shard LRU eviction under a configurable
-//!   memory budget, replacing the unbounded single-lock
-//!   [`NuCache`](qarith_core::NuCache) on the serving path (the
-//!   single-shot routes keep `NuCache`, bit-pinned). Eviction can only
-//!   cost recomputation, never change a certainty — see [`shard`].
+//! * **A bounded, sharded ν-cache** ([`ShardedNuCache`], from
+//!   [`qarith_core::nucache`]) — N independently locked shards with
+//!   per-shard LRU eviction under a configurable memory budget
+//!   ([`ServeConfig::cache`]). Eviction can only cost recomputation,
+//!   never change a certainty.
 //! * **Admission control** ([`admission`]) — a max-in-flight gate, so
 //!   overload degrades to queueing instead of collapse.
 //! * **A live write path** ([`epoch`]) — `INSERT`/`DELETE`/`UPDATE`
@@ -80,13 +79,14 @@ pub mod admission;
 pub mod epoch;
 mod error;
 pub mod service;
-pub mod shard;
 
 pub use admission::{AdmissionGate, AdmissionPermit, AdmissionStats};
 pub use epoch::{Snapshot, WriteOutcome};
 pub use error::ServeError;
+/// The ν-cache the service runs on, re-exported from `qarith-core`
+/// (where the single-shot pipelines use the same type).
+pub use qarith_core::{ShardedCacheConfig, ShardedCacheStats, ShardedNuCache};
 /// The snapshot digest ([`Snapshot::digest`]), re-exported where
 /// serving callers have always found it.
 pub use qarith_types::database_digest;
 pub use service::{QueryResponse, QueryService, ServeConfig, ServiceStats};
-pub use shard::{ShardedCacheConfig, ShardedCacheStats, ShardedNuCache};

@@ -6,6 +6,7 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use qarith_core::{
     AnswerWithCertainty, BatchPlan, BatchStats, CertaintyCache, CertaintyEngine, MeasureOptions,
+    ShardedCacheConfig, ShardedCacheStats, ShardedNuCache,
 };
 use qarith_engine::cq;
 use qarith_query::Formula;
@@ -15,7 +16,6 @@ use qarith_types::{Catalog, Database, WriteBatch, WriteOp};
 use crate::admission::{AdmissionGate, AdmissionStats};
 use crate::epoch::{Snapshot, WriteOutcome};
 use crate::error::ServeError;
-use crate::shard::{ShardedCacheConfig, ShardedCacheStats, ShardedNuCache};
 
 /// Configuration of a [`QueryService`].
 #[derive(Clone, Debug)]
@@ -550,7 +550,8 @@ impl QueryService {
         // A poisoned plan-cache lock means an earlier request panicked
         // while publishing; the map may hold a half-finished update, so
         // fail this request cleanly rather than trusting it (the
-        // ν-cache, by contrast, can degrade to misses — see `shard`).
+        // ν-cache, by contrast, can degrade to misses — see
+        // `qarith_core::nucache`).
         fn poisoned<Guard>(_: std::sync::PoisonError<Guard>) -> ServeError {
             ServeError::LockPoisoned("plan cache")
         }
@@ -617,31 +618,29 @@ impl QueryService {
     /// catalog, generate candidates under the template's LIMIT
     /// semantics (folded into the executor options), prepare the
     /// batch. Returns the plan plus its relation-version dependencies
-    /// against `snap`. Both the SQL front (parse, lower, candidate
-    /// generation — "grounding") and the engine's batch preparation
-    /// accumulate into [`Stage::Prepare`]: together they are the
-    /// template-build cost a plan-cache hit saves.
+    /// against `snap`. One [`Stage::Prepare`] span covers both the SQL
+    /// front (parse, lower, candidate generation — "grounding") and the
+    /// engine's batch preparation: together they are the template-build
+    /// cost a plan-cache hit saves.
     fn build_plan(
         &self,
         sql: &str,
         snap: &Snapshot,
         trace: &mut RequestTrace,
     ) -> Result<(BatchPlan, Vec<(String, u64)>), ServeError> {
-        let (candidates, deps) = {
-            let _span = trace.span(Stage::Prepare);
-            let lowered = qarith_sql::compile(sql, &self.catalog)?;
-            let mut relations = BTreeSet::new();
-            collect_relations(lowered.query.body(), &mut relations);
-            let deps: Vec<(String, u64)> = relations
-                .into_iter()
-                .map(|rel| {
-                    let version = snap.version_of(&rel);
-                    (rel, version)
-                })
-                .collect();
-            (cq::execute(&lowered.query, &snap.db, &lowered.cq_options())?, deps)
-        };
-        Ok((self.engine.prepare_batch_traced(candidates, Some(trace)), deps))
+        let _span = trace.span(Stage::Prepare);
+        let lowered = qarith_sql::compile(sql, &self.catalog)?;
+        let mut relations = BTreeSet::new();
+        collect_relations(lowered.query.body(), &mut relations);
+        let deps: Vec<(String, u64)> = relations
+            .into_iter()
+            .map(|rel| {
+                let version = snap.version_of(&rel);
+                (rel, version)
+            })
+            .collect();
+        let candidates = cq::execute(&lowered.query, &snap.db, &lowered.cq_options())?;
+        Ok((self.engine.prepare_batch(candidates), deps))
     }
 
     /// The engine's options (fixed for the service's lifetime).

@@ -5,7 +5,9 @@
 //! * eviction soundness — a forced tiny cache budget changes miss
 //!   counts, never certainties;
 //! * plan-cache behavior — whitespace/alias/literal-varied but
-//!   fingerprint-equal SQL builds one plan and hits it thereafter.
+//!   fingerprint-equal SQL builds one plan and hits it thereafter;
+//! * stage accounting — a plan miss records one `prepare` sample, a
+//!   plan hit none, and every query records the execute stages.
 
 use std::sync::Arc;
 
@@ -13,6 +15,7 @@ use qarith_core::afpras::{AfprasOptions, SampleCount};
 use qarith_core::{BatchOptions, MeasureOptions, MethodChoice};
 use qarith_datagen::{QueryFamily, WorkloadScale};
 use qarith_serve::{QueryResponse, QueryService, ServeConfig, ShardedCacheConfig};
+use qarith_trace::Stage;
 use qarith_types::Database;
 
 fn tiny_db() -> Database {
@@ -174,6 +177,23 @@ fn plan_cache_hits_across_spellings() {
     assert!(!other.plan_cached);
     assert_ne!(other.fingerprint, responses[0].fingerprint);
     assert_eq!(service.stats().plans, 2);
+}
+
+#[test]
+fn prepare_is_sampled_once_per_plan_miss_and_execute_stages_every_query() {
+    let service = QueryService::new(tiny_db(), config_with_budget(64 << 20));
+    let samples = |stage: Stage| service.latency_stats().stage(stage).count();
+    let sql = "SELECT P.id FROM Products P WHERE P.rrp >= 80 AND P.dis >= 0.9 LIMIT 25";
+
+    assert!(!service.query(sql).expect("cold query serves").plan_cached);
+    assert_eq!(samples(Stage::Prepare), 1, "a plan miss records exactly one prepare sample");
+    for _ in 0..2 {
+        assert!(service.query(sql).expect("warm query serves").plan_cached);
+    }
+    assert_eq!(samples(Stage::Prepare), 1, "plan hits record no prepare sample");
+    for stage in [Stage::NuLookup, Stage::Measure, Stage::Rehydrate] {
+        assert_eq!(samples(stage), 3, "every query records {}", stage.name());
+    }
 }
 
 #[test]

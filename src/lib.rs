@@ -18,8 +18,8 @@
 //! | [`sql`] | `qarith-sql` | SQL subset parser (the §9 front end) + template fingerprints |
 //! | [`engine`] | `qarith-engine` | naive evaluation, CQ executor, grounding (Prop 5.3) |
 //! | [`geometry`] | `qarith-geometry` | sampling, LP, hit-and-run, volume, union volumes |
-//! | [`core`] | `qarith-core` | the measure: AFPRAS (Thm 8.1), FPRAS (Thm 7.1), exact evaluators, pipeline |
-//! | [`serve`] | `qarith-serve` | concurrent query serving: prepared plans, sharded ν-cache, admission |
+//! | [`core`] | `qarith-core` | the measure: AFPRAS (Thm 8.1), FPRAS (Thm 7.1), exact evaluators, pipeline, the sharded ν-cache |
+//! | [`serve`] | `qarith-serve` | concurrent query serving: prepared plans, admission, live writes |
 //! | [`net`] | `qarith-net` | framed TCP wire protocol + `/metrics` over the service |
 //! | [`trace`] | `qarith-trace` | request ids, per-stage latency histograms, the slow-query log |
 //! | [`datagen`] | `qarith-datagen` | synthetic data, the §9 sales workload |
@@ -132,9 +132,9 @@ pub mod prelude {
     pub use qarith_constraints::canonical::{canonicalize, Canonical, FormulaInterner};
     pub use qarith_constraints::{Atom, ConstraintOp, Polynomial, QfFormula, Var as ConstraintVar};
     pub use qarith_core::{
-        AnswerWithCertainty, BatchOptions, BatchOutcome, BatchPlan, BatchStats, CacheStats,
-        CertaintyCache, CertaintyEngine, CertaintyEstimate, FactorBudget, MeasureOptions, Method,
-        MethodChoice, NuCache, RewriteOptions, RewriteStats,
+        AnswerWithCertainty, BatchOptions, BatchOutcome, BatchPlan, BatchStats, CertaintyCache,
+        CertaintyEngine, CertaintyEstimate, FactorBudget, MeasureOptions, Method, MethodChoice,
+        RewriteOptions, RewriteStats,
     };
     pub use qarith_datagen::{QueryFamily, Workload, WorkloadQuery, WorkloadScale, WorkloadSpec};
     pub use qarith_engine::cq::CqOptions;

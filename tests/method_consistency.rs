@@ -10,8 +10,12 @@
 //!
 //! 2. **Batch exactness** — for fixed seeds, the batched/deduplicated/
 //!    cached path produces *bit-identical* estimates to the plain
-//!    sequential per-candidate loop, for every method choice; and a
-//!    warm ν-cache replays the identical bits.
+//!    sequential per-candidate loop, for every method choice; a warm
+//!    ν-cache replays the identical bits, and so does a cache too small
+//!    to hold the batch (eviction costs recomputation, never bits).
+
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -155,13 +159,26 @@ proptest! {
 // 2. Batch/cached results are bit-identical to sequential uncached
 // ---------------------------------------------------------------------
 
+/// Cases of `batch_is_bit_identical_to_sequential`.
+const BIT_IDENTITY_CASES: u32 = 32;
+/// Cases of that property run so far, and how many of them evicted
+/// from the tiny cache: its last case asserts that eviction was
+/// actually exercised, so the tiny-budget leg cannot pass vacuously.
+static BIT_IDENTITY_CASES_RUN: AtomicU32 = AtomicU32::new(0);
+static EVICTING_CASES: AtomicU32 = AtomicU32::new(0);
+
+/// A ν-cache budget of about two entries for the small formulas below
+/// (per entry: a ~64-byte key, the estimate, ~96 bytes of bookkeeping).
+const TWO_ENTRY_BUDGET: usize = 2 * (std::mem::size_of::<CertaintyEstimate>() + 96 + 64);
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(BIT_IDENTITY_CASES))]
 
     /// For every method choice, the batched path (canonical dedup, 4
     /// worker threads, ν-cache) reproduces the sequential uncached loop
     /// bit for bit, and a second (fully cached) pass replays the same
-    /// bits again.
+    /// bits again. The same two passes through a 1-shard cache whose
+    /// budget holds about two entries keep the bits too.
     #[test]
     fn batch_is_bit_identical_to_sequential(
         formulas in prop::collection::vec(linear_formula(3), 1..6),
@@ -184,12 +201,10 @@ proptest! {
             batch: BatchOptions { threads: 1, dedup: false },
             ..options.clone()
         });
-        let cache = std::sync::Arc::new(NuCache::new());
-        let batched = CertaintyEngine::new(MeasureOptions {
-            batch: BatchOptions { threads: 4, dedup: true },
-            ..options
-        })
-        .with_cache(cache.clone());
+        let batched_options =
+            MeasureOptions { batch: BatchOptions { threads: 4, dedup: true }, ..options };
+        let batched = CertaintyEngine::new(batched_options.clone())
+            .with_shared_cache(Arc::new(ShardedNuCache::default()));
 
         let s = sequential.measure_candidates(candidates.clone()).unwrap();
         let b = batched.measure_batch(candidates.clone()).unwrap();
@@ -199,13 +214,39 @@ proptest! {
         }
 
         // Second pass: everything served from the warm cache, same bits.
-        let warm = batched.measure_batch(candidates).unwrap();
+        let warm = batched.measure_batch(candidates.clone()).unwrap();
         prop_assert_eq!(warm.stats.measured, 0, "warm pass measures nothing");
         for (x, y) in s.iter().zip(&warm.answers) {
             prop_assert_eq!(bits(&x.certainty), bits(&y.certainty));
             prop_assert!(y.certainty.cached);
         }
+
+        // Eviction soundness: a cache too small for the batch only
+        // moves groups from lookup to recomputation.
+        let tiny = Arc::new(ShardedNuCache::new(ShardedCacheConfig {
+            shards: 1,
+            budget_bytes: TWO_ENTRY_BUDGET,
+        }));
+        let evicting = CertaintyEngine::new(batched_options).with_shared_cache(tiny.clone());
+        for pass in ["cold", "warm"] {
+            let e = evicting.measure_batch(candidates.clone()).unwrap();
+            for (x, y) in s.iter().zip(&e.answers) {
+                prop_assert_eq!(bits(&x.certainty), bits(&y.certainty),
+                    "{} pass, tiny cache: {:?} on {}", pass, method, x.formula);
+            }
+        }
+        if tiny.stats().evictions > 0 {
+            EVICTING_CASES.fetch_add(1, Ordering::Relaxed);
+        }
+        if BIT_IDENTITY_CASES_RUN.fetch_add(1, Ordering::Relaxed) + 1 == BIT_IDENTITY_CASES {
+            prop_assert!(EVICTING_CASES.load(Ordering::Relaxed) > 0,
+                "no case evicted from the two-entry cache: the eviction leg is vacuous");
+        }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Renaming the nulls of a formula never changes its measure — the
     /// canonicalization invariant, method by method, checked through the
@@ -267,7 +308,7 @@ fn batch_matches_sequential_on_the_sales_workload() {
                 batch: BatchOptions { threads: 4, dedup: true },
                 ..options
             })
-            .with_cache(std::sync::Arc::new(NuCache::new()));
+            .with_shared_cache(Arc::new(ShardedNuCache::default()));
             let s = sequential.measure_candidates(candidates.clone()).unwrap();
             let b = batched.measure_candidates(candidates.clone()).unwrap();
             assert_eq!(s.len(), b.len());

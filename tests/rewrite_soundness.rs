@@ -14,7 +14,7 @@
 //!    with whole-formula estimates, and hand-computed disjoint wedges
 //!    pin the exact products.
 //! 3. **Pass semantics** — `qarith_rewrite::ae_simplify` reproduces the
-//!    deprecated `QfFormula::ae_simplified` shim bit for bit, and the
+//!    frozen historical `QfFormula::ae_simplified` oracle bit for bit, and the
 //!    full pass pipeline preserves per-direction limit truth on the
 //!    Boolean-identity passes.
 
@@ -26,6 +26,9 @@ use qarith::core::afpras::AfprasOptions;
 use qarith::engine::cq::CandidateAnswer;
 use qarith::prelude::*;
 use qarith::rewrite::{ae_simplify, FactorBudget};
+
+#[path = "../crates/rewrite/tests/support/frozen_ae.rs"]
+mod frozen_ae;
 
 fn z(i: u32) -> Polynomial {
     Polynomial::var(Var(i))
@@ -196,7 +199,7 @@ proptest! {
         formulas in prop::collection::vec(linear_formula(3), 1..5),
     ) {
         let eng = engine(MethodChoice::Auto, true)
-            .with_cache(std::sync::Arc::new(NuCache::new()));
+            .with_shared_cache(std::sync::Arc::new(ShardedNuCache::default()));
         let candidates: Vec<CandidateAnswer> = formulas.iter().enumerate().map(|(i, f)| {
             CandidateAnswer {
                 tuple: Tuple::new(vec![Value::int(i as i64)]),
@@ -225,16 +228,14 @@ proptest! {
         }
     }
 
-    /// `ae_simplify` is bit-identical to the frozen deprecated shim, and
+    /// `ae_simplify` is bit-identical to the frozen oracle, and
     /// the Boolean-normalization passes preserve limit truth pointwise.
     #[test]
     fn passes_preserve_semantics(
         f in linear_formula(3),
         dir in prop::collection::vec(-1.0f64..1.0, 6),
     ) {
-        #[allow(deprecated)]
-        let shim = f.ae_simplified();
-        prop_assert_eq!(ae_simplify(&f), shim);
+        prop_assert_eq!(ae_simplify(&f), frozen_ae::frozen_ae_simplified(&f));
 
         // Normalization-only simplification (no a.e. atom surgery beyond
         // the shared ae pass) keeps the limit truth at every direction

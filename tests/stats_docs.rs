@@ -51,7 +51,6 @@ fn documented_counter_table_matches_as_pairs_exactly() {
     let expected: BTreeMap<String, Vec<String>> = [
         ("BatchStats".to_string(), names(&BatchStats::default().as_pairs())),
         ("RewriteStats".to_string(), names(&RewriteStats::default().as_pairs())),
-        ("CacheStats".to_string(), names(&CacheStats::default().as_pairs())),
         ("ShardedCacheStats".to_string(), names(&ShardedCacheStats::default().as_pairs())),
         ("ServiceStats".to_string(), names(&ServiceStats::default().as_pairs())),
         ("AdmissionStats".to_string(), names(&AdmissionStats::default().as_pairs())),
@@ -150,6 +149,6 @@ fn every_block_has_a_meaning_column() {
         assert!(!cells[3].is_empty() && !cells[4].is_empty(), "empty cells in: {line}");
         rows += 1;
     }
-    // 7 + 6 + 3 + 8 + 9 + 4 + 7 counters across the seven blocks.
-    assert_eq!(rows, 44, "expected one row per exported counter");
+    // 7 + 6 + 8 + 9 + 4 + 7 counters across the six blocks.
+    assert_eq!(rows, 41, "expected one row per exported counter");
 }
